@@ -477,16 +477,11 @@ void cluster::execute_effects(process_id p, proto::outputs& out) {
       recovery_stores_ += 1;
     }
     if (nd.wal != nullptr) {
-      // Remember the frame image this store will append, so a crash before
-      // done_at can tear exactly these bytes (do_crash).
-      nd.last_log_frame.clear();
-      storage::append_wal_frame(nd.last_log_frame, storage::wal_frame_kind::record,
-                                lr.key, lr.record);
-      for (const storage::record_key& k : lr.obsoletes) {
-        if (k == lr.key) continue;
-        storage::append_wal_frame(nd.last_log_frame,
-                                  storage::wal_frame_kind::tombstone, k, {});
-      }
+      // Remember what this store will append, so a crash before done_at can
+      // tear exactly its frame bytes (do_crash).
+      nd.last_log_key = lr.key;
+      nd.last_log_record.assign(lr.record.begin(), lr.record.end());
+      nd.last_log_obsoletes.assign(lr.obsoletes.begin(), lr.obsoletes.end());
       nd.last_log_done_at = done_at;
     }
     queue_.schedule_log_done(done_at, p, lr.token, nd.incarnation, lr.key, lr.record,
@@ -700,15 +695,20 @@ void cluster::do_crash(process_id p, crash_style style) {
     // What the dying disk leaves behind. Only the non-durable tail is ever
     // touched: fsync-acked frames are sacred, so recovery's valid prefix
     // always contains every store the protocol was told is durable.
-    const bool mid_append =
-        nd.last_log_done_at > now() && !nd.last_log_frame.empty();
-    if (mid_append) {
+    if (nd.last_log_done_at > now()) {
       // Cold path (crash injection): a strictly partial prefix of the
-      // in-flight frame image reached the medium.
-      bytes torn(nd.last_log_frame.begin(),
-                 nd.last_log_frame.begin() +
-                     static_cast<std::ptrdiff_t>(
-                         rng_.next_below(nd.last_log_frame.size())));
+      // in-flight store's frame image reached the medium. The image is the
+      // record frame plus a tombstone for every obsoleted key other than its
+      // own, absent keys included: its length feeds the rng draws below, so
+      // it must not depend on what the store would skip.
+      bytes torn;
+      storage::append_wal_frame(torn, storage::wal_frame_kind::record, nd.last_log_key,
+                                nd.last_log_record);
+      for (const storage::record_key& k : nd.last_log_obsoletes) {
+        if (k == nd.last_log_key) continue;
+        storage::append_wal_frame(torn, storage::wal_frame_kind::tombstone, k, {});
+      }
+      torn.resize(rng_.next_below(torn.size()));
       if (style == crash_style::corrupt_tail && !torn.empty() && rng_.chance(0.5)) {
         storage::flip_random_bit_after(torn, rng_, 0);
       }

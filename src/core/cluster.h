@@ -242,10 +242,14 @@ class cluster final : private sim::sim_executor {
     storage::wal_store* wal = nullptr;
     std::unique_ptr<proto::quorum_core> core;
     sim::disk_model disk;
-    /// WAL engine only: the frame image and completion time of the last
-    /// issued store, so a crash before `last_log_done_at` can leave a torn
-    /// prefix of exactly the bytes that were mid-append.
-    bytes last_log_frame;
+    /// WAL engine only: what the last issued store will append, and when
+    /// it completes, so a crash before `last_log_done_at` can leave a torn
+    /// prefix of exactly the bytes that were mid-append. The frame image
+    /// itself is built only by such a crash (do_crash); the buffers keep
+    /// their capacity across stores.
+    storage::record_key last_log_key{};
+    bytes last_log_record;
+    std::vector<storage::record_key> last_log_obsoletes;
     time_ns last_log_done_at = 0;
     context client_ctx;
     context listener_ctx;

@@ -84,7 +84,10 @@ void node::pump(std::unique_lock<std::mutex>& lk, proto::outputs& out) {
     auto& store = core_->stable_storage();
     const std::uint64_t epoch_at_issue = core_->current_epoch();
     lk.unlock();
-    store.store(lr.key, lr.record);
+    // Retire the obsoleted (writing) records in the same store, as the
+    // simulator does (cluster::deliver_log_done): a recovering process
+    // re-finishes only the writes that were still in flight.
+    store.store_and_obsolete(lr.key, lr.record, lr.obsoletes);
     lk.lock();
     // If the process crashed (and possibly recovered) while we were writing,
     // the completion belongs to a dead incarnation: drop it.

@@ -6,32 +6,44 @@ namespace remus::storage {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc32_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: crc32_tables[0] is the bytewise table for the
+// reflected IEEE polynomial, and crc32_tables[k][b] is the CRC state after
+// byte b followed by k zero bytes, so eight lookups fold eight input bytes
+// at once. The checksums are exactly the bytewise ones.
+using crc32_table = std::array<std::uint32_t, 256>;
+
+constexpr std::array<crc32_table, 8> make_crc32_tables() {
+  std::array<crc32_table, 8> t{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
     }
-    table[i] = c;
+    t[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < 8; ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<std::uint32_t, 256> crc32_table = make_crc32_table();
+constexpr std::array<crc32_table, 8> crc32_tables = make_crc32_tables();
+
+/// Little-endian load from bytes, independent of the host's byte order
+/// (compilers fold it into one load on little-endian targets).
+std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
 
 void put_u32(bytes& out, std::uint32_t v) {
   out.push_back(static_cast<std::uint8_t>(v));
   out.push_back(static_cast<std::uint8_t>(v >> 8));
   out.push_back(static_cast<std::uint8_t>(v >> 16));
   out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> in, std::size_t at) {
-  return static_cast<std::uint32_t>(in[at]) |
-         (static_cast<std::uint32_t>(in[at + 1]) << 8) |
-         (static_cast<std::uint32_t>(in[at + 2]) << 16) |
-         (static_cast<std::uint32_t>(in[at + 3]) << 24);
 }
 
 bool valid_area(std::uint8_t a) {
@@ -45,8 +57,18 @@ bool valid_area(std::uint8_t a) {
 
 std::uint32_t crc32_update(std::uint32_t state,
                            std::span<const std::uint8_t> data) noexcept {
-  for (std::uint8_t b : data) {
-    state = crc32_table[(state ^ b) & 0xFFu] ^ (state >> 8);
+  const auto& t = crc32_tables;
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ state;
+    const std::uint32_t hi = load_le32(p + 4);
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+            t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+            t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = t[0][(state ^ *p) & 0xFFu] ^ (state >> 8);
   }
   return state;
 }
@@ -92,7 +114,7 @@ wal_scan_result scan_wal(std::span<const std::uint8_t> log,
       r.stop = wal_scan_stop::torn_frame;
       break;
     }
-    const std::uint32_t len = get_u32(log, at);
+    const std::uint32_t len = load_le32(log.data() + at);
     if (len < wal_frame_overhead - 4) {
       r.stop = wal_scan_stop::bad_frame;
       break;
@@ -102,7 +124,7 @@ wal_scan_result scan_wal(std::span<const std::uint8_t> log,
       break;
     }
     const std::size_t frame_size = static_cast<std::size_t>(len) + 4;
-    const std::uint32_t stored_crc = get_u32(log, at + frame_size - 4);
+    const std::uint32_t stored_crc = load_le32(log.data() + at + frame_size - 4);
     const std::uint32_t computed =
         crc32_of(log.subspan(at, frame_size - 4));
     if (stored_crc != computed) {
@@ -125,7 +147,7 @@ wal_scan_result scan_wal(std::span<const std::uint8_t> log,
     if (fn) {
       wal_frame f;
       f.kind = static_cast<wal_frame_kind>(kind);
-      f.key = record_key{static_cast<record_area>(area), get_u32(log, at + 6)};
+      f.key = record_key{static_cast<record_area>(area), load_le32(log.data() + at + 6)};
       f.payload = log.subspan(at + 10, payload_size);
       f.offset = at;
       f.size = frame_size;

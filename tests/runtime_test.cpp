@@ -174,5 +174,36 @@ TEST(RuntimeDurableFiles, StateSurvivesOnDisk) {
   std::filesystem::remove_all(dir, ec);
 }
 
+TEST(RuntimeDurableFiles, SettledWritesRetireTheirWritingRecords) {
+  // Each write pre-logs a (writing) record and piggybacks the tombstones of
+  // its settled predecessors on that store. A node that kept them all would
+  // re-finish every register it ever wrote at each recovery. Register 0
+  // comes first, so the installation's (writing) record is retired too.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("remus_rt_obsolete_" + std::to_string(::getpid()));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
+  constexpr register_id registers = 64;
+  {
+    service_options opt = fast_options(proto::persistent_policy());
+    opt.durable_dir = dir;
+    service s(std::move(opt));
+    for (register_id reg = 0; reg < registers; ++reg) {
+      s.write(process_id{0}, reg, value_of_u32(reg + 1));
+    }
+    s.crash(process_id{0});
+    s.recover(process_id{0});
+    for (register_id reg = 0; reg < registers; reg += 7) {
+      EXPECT_EQ(s.read(process_id{0}, reg), value_of_u32(reg + 1));
+    }
+  }
+  storage::wal_store st(std::make_unique<storage::file_media>(dir / "0", false));
+  std::size_t writing = 0;
+  st.for_each(storage::record_area::writing,
+              [&](register_id, const bytes&) { ++writing; });
+  EXPECT_LE(writing, 1u);
+  std::filesystem::remove_all(dir, ec);
+}
+
 }  // namespace
 }  // namespace remus::runtime

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -50,6 +53,47 @@ TEST(WalFormat, IncrementalCrcMatchesOneShot) {
   st = crc32_update(st, std::span(data).subspan(0, 3));
   st = crc32_update(st, std::span(data).subspan(3));
   EXPECT_EQ(crc32_final(st), crc32_of(data));
+}
+
+/// Bytewise-table CRC32 kept independent of the library's sliced tables.
+std::uint32_t reference_crc32(std::span<const std::uint8_t> data) {
+  static const std::array<std::uint32_t, 256> table = [] {
+    std::array<std::uint32_t, 256> t{};
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      std::uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      t[i] = c;
+    }
+    return t;
+  }();
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::uint8_t x : data) c = table[(c ^ x) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(WalFormat, SlicedCrcMatchesABytewiseReference) {
+  rng r(0x43524333);
+  bytes buf(8 + 300);
+  for (std::uint8_t& x : buf) x = static_cast<std::uint8_t>(r.next_below(256));
+  const std::span<const std::uint8_t> all(buf);
+  // Every length across the 8-byte slicing boundary and its tail, from
+  // every alignment of the start.
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const auto s = all.subspan(off, len);
+      const std::uint32_t want = reference_crc32(s);
+      ASSERT_EQ(crc32_of(s), want) << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32_final(crc32_update(crc32_init, s)), want)
+          << "offset " << off << " length " << len;
+    }
+  }
+  // Every split point of the incremental form.
+  const auto whole = all.subspan(3, 300);
+  const std::uint32_t want = reference_crc32(whole);
+  for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
+    const std::uint32_t st = crc32_update(crc32_init, whole.first(cut));
+    ASSERT_EQ(crc32_final(crc32_update(st, whole.subspan(cut))), want) << "split " << cut;
+  }
 }
 
 TEST(WalFormat, FrameRoundTripsThroughTheScanner) {
@@ -267,6 +311,134 @@ TEST(WalStore, RecoveryReplayTracksLiveStateNotStoreCount) {
   EXPECT_LE(rec.bytes_read, 2 * cfg.compact_min_bytes);
   EXPECT_LE(rec.frames_replayed, 200u);
   EXPECT_GE(rec.frames_replayed, 3u);
+}
+
+/// The store's contract as a model: live records in first-store order (a
+/// key stored again after its erasure lists last).
+struct first_store_model {
+  std::vector<std::pair<record_key, bytes>> live;
+
+  void store(record_key k, const bytes& v) {
+    const auto it = std::find_if(live.begin(), live.end(),
+                                 [&](const auto& e) { return e.first == k; });
+    if (it != live.end()) {
+      it->second = v;
+    } else {
+      live.emplace_back(k, v);
+    }
+  }
+  void erase(record_key k) {
+    std::erase_if(live, [&](const auto& e) { return e.first == k; });
+  }
+};
+
+::testing::AssertionResult matches_model(const wal_store& st, const first_store_model& m,
+                                         const std::vector<record_key>& universe) {
+  for (record_area area : {record_area::writing, record_area::written,
+                           record_area::recovered, record_area::lease}) {
+    std::vector<std::pair<register_id, bytes>> got;
+    std::vector<std::pair<register_id, bytes>> want;
+    st.for_each(area, [&](register_id reg, const bytes& v) { got.emplace_back(reg, v); });
+    for (const auto& [k, v] : m.live) {
+      if (k.area == area) want.emplace_back(k.reg, v);
+    }
+    if (got != want) {
+      return ::testing::AssertionFailure()
+             << "for_each(" << to_string(area) << ") lists " << got.size()
+             << " records, the model " << want.size() << " (or the order differs)";
+    }
+  }
+  std::size_t live_bytes = 0;
+  for (const auto& [k, v] : m.live) live_bytes += wal_frame_size(v.size());
+  if (st.live_bytes() != live_bytes) {
+    return ::testing::AssertionFailure()
+           << "live_bytes " << st.live_bytes() << ", model " << live_bytes;
+  }
+  for (const record_key& k : universe) {
+    const auto it = std::find_if(m.live.begin(), m.live.end(),
+                                 [&](const auto& e) { return e.first == k; });
+    const std::optional<bytes> want =
+        it == m.live.end() ? std::nullopt : std::optional<bytes>(it->second);
+    if (st.retrieve(k) != want) {
+      return ::testing::AssertionFailure() << "retrieve(" << to_string(k) << ") differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(WalStore, TombstonesKeepFirstStoreOrder) {
+  // Alternating store-heavy and erase-heavy phases over 160 keys: erases
+  // land anywhere in the insertion order, not only near its tail, and
+  // erased keys are stored again later. The compaction floor is low enough
+  // that snapshots are taken along the way too.
+  wal_store_config cfg;
+  cfg.compact_min_bytes = 8 * 1024;
+  auto st = make_memory_store(cfg);
+  std::vector<record_key> universe;
+  for (register_id reg = 0; reg < 80; ++reg) {
+    universe.push_back({record_area::writing, reg});
+    universe.push_back({record_area::written, reg});
+  }
+  first_store_model model;
+  rng r(0x544f4d42);
+  const auto pick = [&] { return universe[r.next_below(universe.size())]; };
+  const auto payload = [&] {
+    bytes v(r.next_below(41));
+    for (std::uint8_t& x : v) x = static_cast<std::uint8_t>(r.next_below(256));
+    return v;
+  };
+  for (int step = 0; step < 4800; ++step) {
+    const bool store_heavy = (step / 600) % 2 == 0;
+    const std::uint64_t roll = r.next_below(100);
+    if (roll < (store_heavy ? 65u : 15u)) {
+      const record_key k = pick();
+      const bytes v = payload();
+      st->store(k, v);
+      model.store(k, v);
+    } else if (roll < 80) {
+      const record_key k = pick();
+      st->erase(k);
+      model.erase(k);
+    } else {
+      // A record plus tombstones for a few keys — possibly its own, or keys
+      // that hold nothing.
+      const record_key k = pick();
+      const bytes v = payload();
+      std::vector<record_key> obsolete(1 + r.next_below(4));
+      for (record_key& o : obsolete) o = pick();
+      if (r.chance(0.2)) obsolete.push_back(k);
+      st->store_and_obsolete(k, v, obsolete);
+      model.store(k, v);
+      for (const record_key& o : obsolete) {
+        if (o != k) model.erase(o);
+      }
+    }
+    ASSERT_TRUE(matches_model(*st, model, universe)) << "after step " << step;
+  }
+  EXPECT_GT(st->compactions(), 0u);
+
+  // Replay lists survivors in the same order.
+  st->reopen();
+  ASSERT_TRUE(matches_model(*st, model, universe)) << "after reopen";
+
+  // A forced compaction (every append compacts) writes them to the snapshot
+  // in that order too; overwriting a live key with its own value changes
+  // nothing else.
+  ASSERT_FALSE(model.live.empty());
+  auto media = std::make_unique<memory_media>();
+  media->snapshot = media_of(*st).snapshot;
+  media->log = media_of(*st).log;
+  wal_store_config always;
+  always.compact_min_bytes = 0;
+  always.compact_slack = 0.0;
+  wal_store forced(std::move(media), always);
+  ASSERT_TRUE(matches_model(forced, model, universe)) << "after replay";
+  const std::uint64_t before = forced.compactions();
+  forced.store(model.live.front().first, model.live.front().second);
+  EXPECT_EQ(forced.compactions(), before + 1);
+  EXPECT_EQ(forced.log_bytes(), 0u);
+  forced.reopen();
+  ASSERT_TRUE(matches_model(forced, model, universe)) << "after compaction + reopen";
 }
 
 // ---------- Corruption matrix ----------
