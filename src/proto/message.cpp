@@ -42,7 +42,7 @@ bytes encode(const message& m) {
   return std::move(w).take();
 }
 
-message decode_message(const bytes& wire) {
+message decode_message(std::span<const std::uint8_t> wire) {
   byte_reader r(wire);
   message m;
   const auto k = r.get_u8();

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -106,7 +107,7 @@ struct message {
 /// Serialize for the threaded runtime's wire (and for size accounting in the
 /// simulator: the simulated network charges exactly these bytes).
 [[nodiscard]] bytes encode(const message& m);
-[[nodiscard]] message decode_message(const bytes& wire);
+[[nodiscard]] message decode_message(std::span<const std::uint8_t> wire);
 
 /// Size in bytes of the encoded form, without materializing it.
 [[nodiscard]] std::size_t wire_size(const message& m);

@@ -152,12 +152,16 @@ void node::write(register_id reg, const value& v) {
 }
 
 void node::crash() {
-  std::unique_lock lk(mu_);
-  if (!core_->is_up()) return;
-  if (attached_) {
-    net_.detach(self_);
-    attached_ = false;
+  {
+    std::lock_guard lk(mu_);
+    if (!core_->is_up()) return;
   }
+  // Off the transport before taking mu_ for the crash: detach waits out a
+  // delivery in progress, and that delivery may be waiting for mu_.
+  net_.detach(self_);
+  std::lock_guard lk(mu_);
+  if (!core_->is_up()) return;  // an overlapping crash() got here first
+  attached_ = false;
   core_->crash();
   recorder_.crash(self_, wall_now());
   cv_.notify_all();  // wake any waiter; it observes the crash and aborts

@@ -11,6 +11,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <optional>
 
 #include "common/error.h"
 
@@ -92,8 +93,7 @@ tcp_transport::~tcp_transport() {
     std::lock_guard lk(mu_);
     stop_ = true;
   }
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+  wake_loop();
   loop_thread_.join();
   for (peer_state& ps : peers_) {
     if (ps.fd >= 0) ::close(ps.fd);
@@ -110,8 +110,16 @@ void tcp_transport::attach(process_id p, handler h) {
 }
 
 void tcp_transport::detach(process_id p) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   handlers_.erase(p.index);
+  // Wait out a delivery in progress, unless this thread is running it.
+  if (p.index == opt_.self && !on_loop_thread()) {
+    idle_cv_.wait(lk, [this] { return !delivering_; });
+  }
+}
+
+bool tcp_transport::on_loop_thread() const {
+  return std::this_thread::get_id() == loop_thread_.get_id();
 }
 
 void tcp_transport::send(process_id to, const proto::message& m) {
@@ -119,33 +127,53 @@ void tcp_transport::send(process_id to, const proto::message& m) {
   bool wake = false;
   {
     std::lock_guard lk(mu_);
-    ++sent_;
-    if (!to.valid() || to.index >= opt_.n) {
-      ++dropped_;
-      return;
-    }
-    if (to.index == opt_.self) {
-      self_queue_.push_back(wire);
-      wake = true;
-    } else {
-      peer_state& ps = peers_[to.index];
-      if (ps.pending.size() + wire.size() + 4 > opt_.max_pending_bytes) {
-        ++dropped_;  // backpressure: drop the whole frame, never block
-        return;
-      }
-      append_frame(ps.pending, wire);
-      ps.pending_frames += 1;
-      wake = true;
-    }
+    wake = post(to, wire);
   }
-  if (wake) {
-    const std::uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
-  }
+  if (wake && !on_loop_thread()) wake_loop();
 }
 
 void tcp_transport::broadcast(std::uint32_t n, const proto::message& m) {
-  for (std::uint32_t i = 0; i < n; ++i) send(process_id{i}, m);
+  const bytes wire = proto::encode(m);
+  bool wake = false;
+  {
+    std::lock_guard lk(mu_);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      if (post(process_id{i}, wire)) wake = true;
+    }
+  }
+  if (wake && !on_loop_thread()) wake_loop();
+}
+
+bool tcp_transport::post(process_id to, const bytes& wire) {
+  // Caller holds mu_. Returns whether the frame waits on the epoll thread
+  // for work epoll cannot show it: a delivery to self or a connect.
+  ++sent_;
+  if (!to.valid() || to.index >= opt_.n) {
+    ++dropped_;
+    return false;
+  }
+  if (to.index == opt_.self) {
+    self_queue_.push_back(wire);
+    return true;
+  }
+  peer_state& ps = peers_[to.index];
+  if (ps.pending.size() + wire.size() + 4 > opt_.max_pending_bytes) {
+    ++dropped_;  // backpressure: drop the whole frame, never block
+    return false;
+  }
+  const bool queued_ahead = !ps.pending.empty();
+  append_frame(ps.pending, wire);
+  ps.pending_frames += 1;
+  if (ps.fd < 0) return true;  // the epoll thread connects
+  // Connected with nothing queued ahead: write it now, from this thread. A
+  // connecting or backlogged leg already waits for EPOLLOUT.
+  if (!queued_ahead && !ps.connecting) flush_peer(ps, to.index);
+  return false;
+}
+
+void tcp_transport::wake_loop() {
+  const std::uint64_t one = 1;
+  [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 std::uint64_t tcp_transport::datagrams_sent() const {
@@ -168,6 +196,7 @@ void tcp_transport::drop_peer_connection(peer_state& ps) {
     ps.fd = -1;
   }
   ps.connecting = false;
+  ps.out_armed = false;
   dropped_ += ps.pending_frames;
   ps.pending.clear();
   ps.pending_frames = 0;
@@ -191,6 +220,7 @@ void tcp_transport::ensure_connected(peer_state& ps, std::uint32_t idx) {
   if (rc == 0 || errno == EINPROGRESS) {
     ps.fd = fd;
     ps.connecting = rc != 0;
+    ps.out_armed = true;
     epoll_event ev{};
     ev.events = EPOLLOUT;
     ev.data.u64 = tag(fd_kind::peer, idx);
@@ -203,9 +233,10 @@ void tcp_transport::ensure_connected(peer_state& ps, std::uint32_t idx) {
 }
 
 void tcp_transport::flush_peer(peer_state& ps, std::uint32_t idx) {
-  // Caller holds mu_; only the loop thread calls this.
+  // Caller holds mu_; any thread. Non-blocking: what the socket does not
+  // take now waits for EPOLLOUT.
   while (!ps.pending.empty()) {
-    const ssize_t n = ::write(ps.fd, ps.pending.data(), ps.pending.size());
+    const ssize_t n = ::send(ps.fd, ps.pending.data(), ps.pending.size(), MSG_NOSIGNAL);
     if (n > 0) {
       ps.pending.erase(ps.pending.begin(), ps.pending.begin() + n);
       if (ps.pending.empty()) ps.pending_frames = 0;
@@ -215,8 +246,11 @@ void tcp_transport::flush_peer(peer_state& ps, std::uint32_t idx) {
     drop_peer_connection(ps);
     return;
   }
+  const bool want_out = !ps.pending.empty();
+  if (want_out == ps.out_armed) return;
+  ps.out_armed = want_out;
   epoll_event ev{};
-  ev.events = ps.pending.empty() ? 0u : static_cast<std::uint32_t>(EPOLLOUT);
+  ev.events = want_out ? static_cast<std::uint32_t>(EPOLLOUT) : 0u;
   ev.data.u64 = tag(fd_kind::peer, idx);
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, ps.fd, &ev);
 }
@@ -224,65 +258,71 @@ void tcp_transport::flush_peer(peer_state& ps, std::uint32_t idx) {
 void tcp_transport::close_conn(int fd) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
-  std::lock_guard lk(mu_);
   conns_.erase(fd);
 }
 
-void tcp_transport::deliver_frame(const bytes& wire) {
+void tcp_transport::deliver_frame(std::span<const std::uint8_t> wire) {
+  std::optional<proto::message> m;
+  try {
+    m = proto::decode_message(wire);
+  } catch (...) {
+    // Malformed frame: counted below; the stream stays (framing is intact).
+  }
   handler h;
   {
     std::lock_guard lk(mu_);
     const auto it = handlers_.find(opt_.self);
-    if (it == handlers_.end()) {
-      ++dropped_;  // crashed node: dead socket semantics
+    if (!m || it == handlers_.end()) {
+      ++dropped_;  // garbled, or a crashed node: dead socket semantics
       return;
     }
     h = it->second;  // copy so the handler can detach safely
+    delivering_ = true;
   }
   try {
-    h(proto::decode_message(wire));
+    h(*m);
   } catch (...) {
-    // Malformed frame: drop it, keep the stream (framing is intact).
+    // A handler's exception must not kill the epoll thread.
   }
+  std::lock_guard lk(mu_);
+  delivering_ = false;
+  idle_cv_.notify_all();
 }
 
 void tcp_transport::read_conn(int fd) {
-  bytes* buf;
-  {
-    std::lock_guard lk(mu_);
-    const auto it = conns_.find(fd);
-    if (it == conns_.end()) return;
-    buf = &it->second.buf;
-  }
-  // Only the loop thread touches conn buffers after insertion, so reading
-  // *buf without the lock is single-threaded.
+  const auto it = conns_.find(fd);
+  if (it == conns_.end()) return;
+  bytes& buf = it->second.buf;
   std::uint8_t chunk[64 * 1024];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n > 0) {
-      buf->insert(buf->end(), chunk, chunk + n);
-      continue;
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    close_conn(fd);  // EOF or error; any partial frame dies with the stream
-    return;
-  }
-  std::size_t off = 0;
-  while (buf->size() - off >= 4) {
-    const std::uint32_t len = static_cast<std::uint32_t>((*buf)[off]) |
-                              (static_cast<std::uint32_t>((*buf)[off + 1]) << 8) |
-                              (static_cast<std::uint32_t>((*buf)[off + 2]) << 16) |
-                              (static_cast<std::uint32_t>((*buf)[off + 3]) << 24);
-    if (len > opt_.max_frame_bytes) {
-      close_conn(fd);  // desynced or hostile stream
+    if (n <= 0) {
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      close_conn(fd);  // EOF or error; any partial frame dies with the stream
       return;
     }
-    if (buf->size() - off - 4 < len) break;
-    const bytes frame(buf->begin() + off + 4, buf->begin() + off + 4 + len);
-    off += 4 + len;
-    deliver_frame(frame);
+    // Frames decode in place from `buf`; a frame split across reads keeps
+    // its head there until the rest arrives.
+    buf.insert(buf.end(), chunk, chunk + n);
+    const std::span<const std::uint8_t> in(buf);
+    std::size_t off = 0;
+    while (in.size() - off >= 4) {
+      const std::uint32_t len = static_cast<std::uint32_t>(in[off]) |
+                                (static_cast<std::uint32_t>(in[off + 1]) << 8) |
+                                (static_cast<std::uint32_t>(in[off + 2]) << 16) |
+                                (static_cast<std::uint32_t>(in[off + 3]) << 24);
+      if (len > opt_.max_frame_bytes) {
+        close_conn(fd);  // desynced or hostile stream
+        return;
+      }
+      if (in.size() - off - 4 < len) break;
+      deliver_frame(in.subspan(off + 4, len));
+      off += 4 + len;
+    }
+    buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
+    // A short read drained the socket; level-triggered epoll reports more.
+    if (static_cast<std::size_t>(n) < sizeof(chunk)) return;
   }
-  if (off > 0) buf->erase(buf->begin(), buf->begin() + off);
 }
 
 void tcp_transport::drain_self_queue() {
@@ -296,9 +336,10 @@ void tcp_transport::drain_self_queue() {
 
 void tcp_transport::loop() {
   epoll_event events[64];
+  // The timeout drives reconnect backoff expiry; nothing else is timed.
+  int timeout_ms = 20;
   for (;;) {
-    // The timeout drives reconnect backoff expiry; nothing else is timed.
-    const int nev = ::epoll_wait(epoll_fd_, events, 64, 20);
+    const int nev = ::epoll_wait(epoll_fd_, events, 64, timeout_ms);
     {
       std::lock_guard lk(mu_);
       if (stop_) return;
@@ -312,10 +353,7 @@ void tcp_transport::loop() {
             const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                                      SOCK_NONBLOCK | SOCK_CLOEXEC);
             if (fd < 0) break;
-            {
-              std::lock_guard lk(mu_);
-              conns_[fd] = conn_state{fd, {}};
-            }
+            conns_[fd] = conn_state{fd, {}};
             epoll_event ev{};
             ev.events = EPOLLIN;
             ev.data.u64 = tag(fd_kind::conn, static_cast<std::uint32_t>(fd));
@@ -324,9 +362,8 @@ void tcp_transport::loop() {
           break;
         }
         case fd_kind::wake: {
-          std::uint64_t val;
-          while (::read(wake_fd_, &val, sizeof(val)) > 0) {
-          }
+          std::uint64_t val;  // one read resets the eventfd counter
+          [[maybe_unused]] ssize_t n = ::read(wake_fd_, &val, sizeof(val));
           break;
         }
         case fd_kind::peer: {
@@ -355,18 +392,17 @@ void tcp_transport::loop() {
           break;
       }
     }
+    // Frames to self, from other threads (they woke us) or from the
+    // handlers just run, are delivered before this thread blocks again.
     drain_self_queue();
-    // Kick pending outbound legs: fresh sends (woken above) and expired
-    // reconnect backoffs alike.
     {
       std::lock_guard lk(mu_);
+      // Handlers run by the drain may have queued more: poll, don't block.
+      timeout_ms = self_queue_.empty() ? 20 : 0;
+      // Connect legs with frames waiting: fresh sends and expired reconnect
+      // backoffs alike. Connected legs flush on EPOLLOUT.
       for (std::uint32_t p = 0; p < opt_.n; ++p) {
-        peer_state& ps = peers_[p];
-        if (ps.fd < 0) {
-          ensure_connected(ps, p);
-        } else if (!ps.connecting && !ps.pending.empty()) {
-          flush_peer(ps, p);
-        }
+        if (peers_[p].fd < 0) ensure_connected(peers_[p], p);
       }
     }
   }

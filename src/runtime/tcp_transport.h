@@ -19,17 +19,28 @@
 // retransmission machinery papers over every loss, exactly as it does over
 // the simulator's coin-flip drops.
 //
-// Threading: one epoll thread per transport owns every socket. send() only
-// appends to a per-peer buffer under a mutex and wakes the epoll thread via
-// eventfd; handlers run on the epoll thread (the `transport` contract).
-// Self-sends take the same path — queued, woken, delivered asynchronously —
-// so delivery order to the local handler never depends on who sent.
+// Threading: one epoll thread per transport accepts and reads every inbound
+// connection, opens and reopens the outbound ones, and runs the handlers
+// (the `transport` contract). Sockets are written by whichever thread
+// sends, under the transport mutex: send() and broadcast() write a frame
+// straight to the peer's socket, non-blocking, when the connection is up
+// and nothing is queued for that peer. Only a short write, a missing
+// connection or a backlog leaves bytes queued, and the epoll thread
+// finishes them on EPOLLOUT or once it has connected. The epoll thread is
+// woken (eventfd) only for work epoll cannot show it: a frame to self, or
+// a peer that needs a connect, sent from another thread. It never wakes
+// itself: frames its handlers send to self are delivered before it blocks
+// again. Self-sends are always queued and delivered asynchronously on the
+// epoll thread, so delivery order to the local handler never depends on
+// who sent.
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -69,28 +80,32 @@ class tcp_transport final : public transport {
   [[nodiscard]] std::uint64_t datagrams_dropped() const override;
 
  private:
-  /// Outbound leg to one peer. All fields owned by the epoll thread except
-  /// `pending`, which send() appends to under mu_.
+  /// Outbound leg to one peer, guarded by mu_. Any sending thread writes to
+  /// it; only the epoll thread connects it.
   struct peer_state {
     int fd = -1;
     bool connecting = false;
+    bool out_armed = false;  // EPOLLOUT interest registered for fd
     bytes pending;  // queued frames, possibly partially written
     std::uint32_t pending_frames = 0;
     std::chrono::steady_clock::time_point next_attempt{};
   };
-  /// Inbound connection (accepted); reassembles frames.
+  /// Inbound connection (accepted); reassembles frames split across reads.
   struct conn_state {
     int fd = -1;
     bytes buf;
   };
 
+  [[nodiscard]] bool on_loop_thread() const;
+  bool post(process_id to, const bytes& wire);
+  void wake_loop();
   void loop();
   void ensure_connected(peer_state& ps, std::uint32_t idx);
   void flush_peer(peer_state& ps, std::uint32_t idx);
   void drop_peer_connection(peer_state& ps);
   void read_conn(int fd);
   void close_conn(int fd);
-  void deliver_frame(const bytes& wire);
+  void deliver_frame(std::span<const std::uint8_t> wire);
   void drain_self_queue();
 
   tcp_transport_options opt_;
@@ -99,13 +114,15 @@ class tcp_transport final : public transport {
   int wake_fd_ = -1;
 
   mutable std::mutex mu_;
+  std::condition_variable idle_cv_;  // signals the end of a handler call
   std::map<std::uint32_t, handler> handlers_;
   std::vector<peer_state> peers_;      // indexed by process
-  std::map<int, conn_state> conns_;    // accepted fds
   std::vector<bytes> self_queue_;      // frames to self, drained by the loop
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
+  bool delivering_ = false;            // a handler call is running
   bool stop_ = false;
+  std::map<int, conn_state> conns_;    // accepted fds; epoll thread only
   std::thread loop_thread_;
 };
 

@@ -22,8 +22,12 @@ void datagram_transport::attach(process_id p, handler h) {
 }
 
 void datagram_transport::detach(process_id p) {
-  std::lock_guard lk(mu_);
+  std::unique_lock lk(mu_);
   handlers_.erase(p.index);
+  // Wait out a delivery in progress, unless this thread is running it.
+  if (std::this_thread::get_id() != pump_thread_.get_id()) {
+    idle_cv_.wait(lk, [&] { return delivering_ != p; });
+  }
 }
 
 void datagram_transport::enqueue_copy(process_id to, const bytes& wire) {
@@ -100,6 +104,7 @@ void datagram_transport::pump() {
       continue;
     }
     handler h = it->second;  // copy so the handler can detach safely
+    delivering_ = pkt.to;
     lk.unlock();
     try {
       h(proto::decode_message(pkt.wire));
@@ -107,6 +112,8 @@ void datagram_transport::pump() {
       // A malformed or stale datagram must not kill the pump (UDP spirit).
     }
     lk.lock();
+    delivering_ = no_process;
+    idle_cv_.notify_all();
   }
 }
 

@@ -16,6 +16,10 @@
 //   * handlers run on a transport-owned thread, never on the sender's;
 //   * a process that is not attached (crashed) silently loses its traffic,
 //     like a dead socket;
+//   * detach(p) returns only once no handler call for p is running, unless
+//     it is called on the transport's own thread (from a handler). The
+//     caller must therefore not hold anything p's handler may wait for;
+//     after detach returns, whatever the handler uses may be destroyed;
 //   * send/broadcast never block on delivery and are safe from any thread.
 #pragma once
 
@@ -43,7 +47,8 @@ class transport {
 
   /// Attach a receiver; messages are dispatched on a transport-owned thread.
   virtual void attach(process_id p, handler h) = 0;
-  /// Detach (crash): subsequent traffic to p is dropped.
+  /// Detach (crash): subsequent traffic to p is dropped. Waits out a
+  /// handler call for p in progress on another thread (see the contract).
   virtual void detach(process_id p) = 0;
 
   virtual void send(process_id to, const proto::message& m) = 0;
@@ -100,7 +105,9 @@ class datagram_transport final : public transport {
   transport_options opt_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
+  std::condition_variable idle_cv_;  // signals the end of a handler call
   std::map<std::uint32_t, handler> handlers_;
+  process_id delivering_ = no_process;  // whose handler is running
   std::priority_queue<packet, std::vector<packet>, std::greater<>> queue_;
   rng rng_;
   std::uint64_t seq_ = 0;

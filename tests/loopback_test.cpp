@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "runtime/node.h"
 #include "runtime/tcp_transport.h"
 #include "storage/memory_store.h"
+#include "transport_contract.h"
 
 namespace remus::runtime {
 namespace {
@@ -172,6 +174,166 @@ TEST(TcpTransport, LargeFramesArriveWholeAndInOrder) {
   for (std::uint64_t i = 0; i < 8; ++i) {
     EXPECT_EQ(seqs[i], i) << "frame order broke at " << i;
     EXPECT_EQ(sizes[i], i % 2 == 0 ? 200u * 1024u : 3u);
+  }
+}
+
+TEST(TcpTransport, MalformedFrameIsCountedAsDropped) {
+  // A well-framed payload that does not decode is a drop, like any other;
+  // the stream survives it, so the valid frame behind it still arrives.
+  const std::uint16_t base = probe_base_port(1);
+  tcp_transport t(tcp_opt(1, base, 0));
+  std::atomic<int> got{0};
+  t.attach(process_id{0}, [&](const proto::message&) { got += 1; });
+  const std::uint64_t dropped_before = t.datagrams_dropped();
+
+  proto::message m;
+  m.from = process_id{0};
+  const bytes valid = proto::encode(m);
+  const bytes garbage = {0xee, 0x01, 0x02, 0x03, 0x04};  // kind 0xee: no such kind
+  bytes stream;
+  for (const bytes* payload : {&garbage, &valid}) {
+    const auto len = static_cast<std::uint32_t>(payload->size());
+    for (int shift = 0; shift < 32; shift += 8) {
+      stream.push_back(static_cast<std::uint8_t>(len >> shift));
+    }
+    stream.insert(stream.end(), payload->begin(), payload->end());
+  }
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(base);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  ASSERT_EQ(::write(fd, stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  wait_for(got, 1);
+  EXPECT_EQ(got.load(), 1);
+  EXPECT_EQ(t.datagrams_dropped(), dropped_before + 1);
+  ::close(fd);
+}
+
+TEST(TcpTransport, DetachWaitsOutARunningHandler) {
+  const std::uint16_t base = probe_base_port(1);
+  tcp_transport t(tcp_opt(1, base, 0));
+  expect_detach_waits_out_handler(t, process_id{0});
+}
+
+// A chain of hops, each sent from inside the previous hop's handler. Every
+// hop that waited out the epoll timeout (20 ms) would add up to 4 s over
+// 200 hops, so a lost wake-up fails the deadline instead of slowing it.
+constexpr std::uint64_t kChainHops = 200;
+constexpr auto kChainDeadline = std::chrono::seconds(1);
+
+/// Counts a hop and, until the last one, sends the message one hop further
+/// through `via` to `next`.
+transport::handler chain_hop(tcp_transport& via, process_id next, std::atomic<int>& hops) {
+  return [&via, &hops, next](const proto::message& m) {
+    hops += 1;
+    if (m.op_seq == kChainHops) return;
+    proto::message fwd = m;
+    fwd.op_seq += 1;
+    via.send(next, fwd);
+  };
+}
+
+TEST(TcpTransport, HandlerChainToSelfNeverWaitsOutTheTimeout) {
+  const std::uint16_t base = probe_base_port(1);
+  tcp_transport t(tcp_opt(1, base, 0));
+  std::atomic<int> hops{0};
+  t.attach(process_id{0}, chain_hop(t, process_id{0}, hops));
+  proto::message m;
+  m.from = process_id{0};
+  const auto start = std::chrono::steady_clock::now();
+  t.send(process_id{0}, m);
+  wait_for(hops, kChainHops + 1, 10000);
+  EXPECT_EQ(hops.load(), static_cast<int>(kChainHops + 1));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kChainDeadline);
+  t.detach(process_id{0});
+}
+
+TEST(TcpTransport, HandlerChainBetweenPeersNeverWaitsOutTheTimeout) {
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport a(tcp_opt(2, base, 0));
+  tcp_transport b(tcp_opt(2, base, 1));
+  std::atomic<int> hops{0};
+  a.attach(process_id{0}, chain_hop(a, process_id{1}, hops));
+  b.attach(process_id{1}, chain_hop(b, process_id{0}, hops));
+  proto::message m;
+  m.from = process_id{0};
+  const auto start = std::chrono::steady_clock::now();
+  a.send(process_id{1}, m);
+  wait_for(hops, kChainHops + 1, 10000);
+  EXPECT_EQ(hops.load(), static_cast<int>(kChainHops + 1));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kChainDeadline);
+  EXPECT_EQ(a.datagrams_dropped() + b.datagrams_dropped(), 0u);
+  a.detach(process_id{0});
+  b.detach(process_id{1});
+}
+
+TEST(TcpTransport, ThreadAndHandlerSendersEachKeepTheirOrder) {
+  // The test thread and a handler on a's epoll thread write interleaved
+  // numbered frames to one peer; every fifth frame is 200 KB, so writes
+  // come up short and the two senders meet in the backlog. Each sender's
+  // frames must arrive whole and in its order, with nothing dropped.
+  constexpr std::uint32_t kFrames = 50;
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport_options ao = tcp_opt(2, base, 0);
+  ao.max_pending_bytes = 64u << 20;  // room for every frame: no backpressure
+  tcp_transport a(ao);
+  tcp_transport b(tcp_opt(2, base, 1));
+
+  const auto frame = [](std::uint32_t sender, std::uint64_t seq) {
+    proto::message m;
+    m.kind = proto::msg_kind::write;
+    m.from = process_id{0};
+    m.round = sender;
+    m.op_seq = seq;
+    m.val.data.assign(seq % 5 == 0 ? 200u * 1024u : 16u, static_cast<std::uint8_t>(seq));
+    return m;
+  };
+  std::mutex mu;
+  std::vector<proto::message> got[2];
+  std::atomic<int> received{0}, warmed{0};
+  b.attach(process_id{1}, [&](const proto::message& m) {
+    if (m.kind != proto::msg_kind::write) {
+      warmed += 1;
+      return;
+    }
+    std::lock_guard<std::mutex> lk(mu);
+    got[m.round].push_back(m);
+    received += 1;
+  });
+  // Each self-frame to a triggers the handler's frame with the same number.
+  a.attach(process_id{0}, [&](const proto::message& m) {
+    a.send(process_id{1}, frame(1, m.op_seq));
+  });
+  // Connect first, so the frames below take the write-from-the-sender path
+  // instead of piling up behind the connect.
+  proto::message warm_up;
+  warm_up.from = process_id{0};
+  a.send(process_id{1}, warm_up);
+  wait_for(warmed, 1);
+  ASSERT_EQ(warmed.load(), 1);
+  for (std::uint64_t seq = 0; seq < kFrames; ++seq) {
+    proto::message trigger;
+    trigger.from = process_id{0};
+    trigger.op_seq = seq;
+    a.send(process_id{0}, trigger);
+    a.send(process_id{1}, frame(0, seq));
+  }
+  wait_for(received, 2 * kFrames, 20000);
+  a.detach(process_id{0});
+  b.detach(process_id{1});
+  EXPECT_EQ(a.datagrams_dropped(), 0u);
+  EXPECT_EQ(b.datagrams_dropped(), 0u);
+  std::lock_guard<std::mutex> lk(mu);
+  for (std::uint32_t sender = 0; sender < 2; ++sender) {
+    ASSERT_EQ(got[sender].size(), kFrames) << "sender " << sender;
+    for (std::uint64_t seq = 0; seq < kFrames; ++seq) {
+      EXPECT_EQ(got[sender][seq], frame(sender, seq))
+          << "sender " << sender << " frame " << seq;
+    }
   }
 }
 

@@ -3,14 +3,19 @@
 // fsync'd file stores — the shape of the paper's C/UDP implementation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <filesystem>
+#include <mutex>
 #include <thread>
 
 #include "common/error.h"
 #include "history/atomicity.h"
 #include "runtime/service.h"
+#include "storage/memory_store.h"
 #include "storage/wal_store.h"
+#include "transport_contract.h"
 
 namespace remus::runtime {
 namespace {
@@ -52,6 +57,11 @@ TEST(Transport, DetachedNodeLosesTraffic) {
   t.send(process_id{0}, m);
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_EQ(got.load(), 0);
+}
+
+TEST(Transport, DetachWaitsOutARunningHandler) {
+  datagram_transport t;
+  expect_detach_waits_out_handler(t, process_id{0});
 }
 
 class RuntimePolicies : public ::testing::TestWithParam<const char*> {
@@ -127,6 +137,58 @@ TEST(RuntimeCrashRecovery, CrashedNodeRejectsOps) {
   EXPECT_THROW(s.write(process_id{1}, value_of_u32(1)), precondition_error);
   s.recover(process_id{1});
   EXPECT_NO_THROW((void)s.read(process_id{1}));
+}
+
+// Holds each detach() caller until a second one arrives (or a deadline
+// passes), so two crash() calls are both past their first is_up() check.
+class paired_detach_transport final : public transport {
+ public:
+  void attach(process_id p, handler h) override { inner_.attach(p, std::move(h)); }
+  void detach(process_id p) override {
+    {
+      std::unique_lock lk(mu_);
+      ++detaching_;
+      cv_.notify_all();
+      cv_.wait_for(lk, std::chrono::seconds(2), [this] { return detaching_ >= 2; });
+    }
+    inner_.detach(p);
+  }
+  void send(process_id to, const proto::message& m) override { inner_.send(to, m); }
+  void broadcast(std::uint32_t n, const proto::message& m) override {
+    inner_.broadcast(n, m);
+  }
+  [[nodiscard]] std::uint64_t datagrams_sent() const override {
+    return inner_.datagrams_sent();
+  }
+  [[nodiscard]] std::uint64_t datagrams_dropped() const override {
+    return inner_.datagrams_dropped();
+  }
+
+ private:
+  datagram_transport inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int detaching_ = 0;
+};
+
+TEST(RuntimeCrashRecovery, OverlappingCrashesCrashOnce) {
+  paired_detach_transport net;
+  storage::memory_store store;
+  history::recorder rec;
+  node nd(proto::persistent_policy(), process_id{0}, 1, store, net, rec);
+  nd.start();
+  std::thread other([&] { nd.crash(); });
+  nd.crash();
+  other.join();
+  EXPECT_FALSE(nd.is_up());
+  const history::history_log h = rec.events();
+  EXPECT_EQ(std::count_if(h.begin(), h.end(),
+                          [](const history::event& e) {
+                            return e.kind == history::event_kind::crash;
+                          }),
+            1);
+  nd.recover();
+  EXPECT_TRUE(nd.is_up());
 }
 
 TEST(RuntimeCrashRecovery, MinorityCrashDoesNotBlockOthers) {
