@@ -20,7 +20,7 @@ namespace remus::runtime {
 namespace {
 
 // epoll_event.data.u64 encoding: what kind of fd fired, and which one.
-enum class fd_kind : std::uint32_t { listener = 0, wake = 1, peer = 2, conn = 3 };
+enum class fd_kind : std::uint32_t { listener = 0, wake = 1, socket = 2 };
 
 std::uint64_t tag(fd_kind k, std::uint32_t v) {
   return (static_cast<std::uint64_t>(k) << 32) | v;
@@ -95,10 +95,7 @@ tcp_transport::~tcp_transport() {
   }
   wake_loop();
   loop_thread_.join();
-  for (peer_state& ps : peers_) {
-    if (ps.fd >= 0) ::close(ps.fd);
-  }
-  for (auto& [fd, c] : conns_) ::close(fd);
+  for (auto& [fd, c] : conns_) ::close(fd);  // every send leg among them
   ::close(listen_fd_);
   ::close(wake_fd_);
   ::close(epoll_fd_);
@@ -167,7 +164,7 @@ bool tcp_transport::post(process_id to, const bytes& wire) {
   if (ps.fd < 0) return true;  // the epoll thread connects
   // Connected with nothing queued ahead: write it now, from this thread. A
   // connecting or backlogged leg already waits for EPOLLOUT.
-  if (!queued_ahead && !ps.connecting) flush_peer(ps, to.index);
+  if (!queued_ahead && !ps.connecting) flush_peer(ps);
   return false;
 }
 
@@ -186,15 +183,11 @@ std::uint64_t tcp_transport::datagrams_dropped() const {
   return dropped_;
 }
 
-void tcp_transport::drop_peer_connection(peer_state& ps) {
+void tcp_transport::unbind_leg(peer_state& ps) {
   // Caller holds mu_. Everything buffered rides the dead connection down —
   // the stream's delivery-or-not is all-or-nothing per frame from the
   // protocol's point of view, and retransmission recovers.
-  if (ps.fd >= 0) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, ps.fd, nullptr);
-    ::close(ps.fd);
-    ps.fd = -1;
-  }
+  ps.fd = -1;
   ps.connecting = false;
   ps.out_armed = false;
   dropped_ += ps.pending_frames;
@@ -203,13 +196,20 @@ void tcp_transport::drop_peer_connection(peer_state& ps) {
   ps.next_attempt = std::chrono::steady_clock::now() + reconnect_backoff;
 }
 
+void tcp_transport::hang_up(peer_state& ps) {
+  // Caller holds mu_; any thread. The epoll thread reads this socket, so it
+  // closes it once it sees the hang-up.
+  ::shutdown(ps.fd, SHUT_RDWR);
+  unbind_leg(ps);
+}
+
 void tcp_transport::ensure_connected(peer_state& ps, std::uint32_t idx) {
   // Caller holds mu_; only the loop thread calls this.
   if (ps.fd >= 0 || ps.pending.empty()) return;
   if (std::chrono::steady_clock::now() < ps.next_attempt) return;
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
-    drop_peer_connection(ps);
+    unbind_leg(ps);
     return;
   }
   const int one = 1;
@@ -218,21 +218,33 @@ void tcp_transport::ensure_connected(peer_state& ps, std::uint32_t idx) {
       loopback_addr(static_cast<std::uint16_t>(opt_.base_port + idx));
   const int rc = ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr));
   if (rc == 0 || errno == EINPROGRESS) {
+    conns_[fd] = conn_state{fd, process_id{idx}, {}};
     ps.fd = fd;
     ps.connecting = rc != 0;
     ps.out_armed = true;
     epoll_event ev{};
-    ev.events = EPOLLOUT;
-    ev.data.u64 = tag(fd_kind::peer, idx);
+    ev.events = EPOLLIN | EPOLLOUT;
+    ev.data.u64 = tag(fd_kind::socket, static_cast<std::uint32_t>(fd));
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
-    if (!ps.connecting) flush_peer(ps, idx);
+    if (!ps.connecting) flush_peer(ps);
   } else {
     ::close(fd);
-    drop_peer_connection(ps);  // refused: peer not up yet; backoff applies
+    unbind_leg(ps);  // refused: peer not up yet; backoff applies
   }
 }
 
-void tcp_transport::flush_peer(peer_state& ps, std::uint32_t idx) {
+void tcp_transport::bind_leg(conn_state& c, process_id from) {
+  // Caller holds mu_; epoll thread. `c` is an accepted socket not yet bound,
+  // and `from` sent the frame just decoded on it.
+  if (!from.valid() || from.index >= opt_.n || from.index == opt_.self) return;
+  peer_state& ps = peers_[from.index];
+  // A connecting leg has an fd, so this also excludes it.
+  if (ps.fd >= 0 || !ps.pending.empty()) return;
+  ps.fd = c.fd;
+  c.peer = from;
+}
+
+void tcp_transport::flush_peer(peer_state& ps) {
   // Caller holds mu_; any thread. Non-blocking: what the socket does not
   // take now waits for EPOLLOUT.
   while (!ps.pending.empty()) {
@@ -243,25 +255,51 @@ void tcp_transport::flush_peer(peer_state& ps, std::uint32_t idx) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    drop_peer_connection(ps);
+    hang_up(ps);
     return;
   }
   const bool want_out = !ps.pending.empty();
   if (want_out == ps.out_armed) return;
   ps.out_armed = want_out;
   epoll_event ev{};
-  ev.events = want_out ? static_cast<std::uint32_t>(EPOLLOUT) : 0u;
-  ev.data.u64 = tag(fd_kind::peer, idx);
+  ev.events = EPOLLIN | (want_out ? static_cast<std::uint32_t>(EPOLLOUT) : 0u);
+  ev.data.u64 = tag(fd_kind::socket, static_cast<std::uint32_t>(ps.fd));
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, ps.fd, &ev);
 }
 
-void tcp_transport::close_conn(int fd) {
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-  conns_.erase(fd);
+void tcp_transport::on_writable(int fd) {
+  const auto it = conns_.find(fd);
+  if (it == conns_.end() || !it->second.peer.valid()) return;
+  std::lock_guard lk(mu_);
+  peer_state& ps = peers_[it->second.peer.index];
+  if (ps.fd != fd) return;  // unbound since the event was queued
+  if (ps.connecting) {
+    int err = 0;
+    socklen_t len = sizeof(err);
+    ::getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len);
+    if (err != 0) {
+      hang_up(ps);
+      return;
+    }
+    ps.connecting = false;
+  }
+  flush_peer(ps);
 }
 
-void tcp_transport::deliver_frame(std::span<const std::uint8_t> wire) {
+void tcp_transport::close_conn(int fd) {
+  const auto it = conns_.find(fd);
+  {
+    // Unbind first: no sender may write to the number once it is closed.
+    std::lock_guard lk(mu_);
+    const process_id p = it->second.peer;
+    if (p.valid() && peers_[p.index].fd == fd) unbind_leg(peers_[p.index]);
+  }
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
+  ::close(fd);
+  conns_.erase(it);
+}
+
+void tcp_transport::deliver_frame(std::span<const std::uint8_t> wire, conn_state* via) {
   std::optional<proto::message> m;
   try {
     m = proto::decode_message(wire);
@@ -271,6 +309,8 @@ void tcp_transport::deliver_frame(std::span<const std::uint8_t> wire) {
   handler h;
   {
     std::lock_guard lk(mu_);
+    // Bound before the handler runs, so its reply rides this connection.
+    if (m && via != nullptr && !via->peer.valid()) bind_leg(*via, m->from);
     const auto it = handlers_.find(opt_.self);
     if (!m || it == handlers_.end()) {
       ++dropped_;  // garbled, or a crashed node: dead socket semantics
@@ -279,27 +319,31 @@ void tcp_transport::deliver_frame(std::span<const std::uint8_t> wire) {
     h = it->second;  // copy so the handler can detach safely
     delivering_ = true;
   }
+  bool threw = false;
   try {
     h(*m);
   } catch (...) {
-    // A handler's exception must not kill the epoll thread.
+    threw = true;  // must not kill the epoll thread; counted as a drop
   }
   std::lock_guard lk(mu_);
+  if (threw) ++dropped_;
   delivering_ = false;
   idle_cv_.notify_all();
 }
 
-void tcp_transport::read_conn(int fd) {
+bool tcp_transport::read_conn(int fd) {
+  // Returns whether fd is still open.
   const auto it = conns_.find(fd);
-  if (it == conns_.end()) return;
-  bytes& buf = it->second.buf;
+  if (it == conns_.end()) return false;
+  conn_state& c = it->second;
+  bytes& buf = c.buf;
   std::uint8_t chunk[64 * 1024];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) {
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
       close_conn(fd);  // EOF or error; any partial frame dies with the stream
-      return;
+      return false;
     }
     // Frames decode in place from `buf`; a frame split across reads keeps
     // its head there until the rest arrives.
@@ -313,15 +357,15 @@ void tcp_transport::read_conn(int fd) {
                                 (static_cast<std::uint32_t>(in[off + 3]) << 24);
       if (len > opt_.max_frame_bytes) {
         close_conn(fd);  // desynced or hostile stream
-        return;
+        return false;
       }
       if (in.size() - off - 4 < len) break;
-      deliver_frame(in.subspan(off + 4, len));
+      deliver_frame(in.subspan(off + 4, len), &c);
       off += 4 + len;
     }
     buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(off));
     // A short read drained the socket; level-triggered epoll reports more.
-    if (static_cast<std::size_t>(n) < sizeof(chunk)) return;
+    if (static_cast<std::size_t>(n) < sizeof(chunk)) return true;
   }
 }
 
@@ -331,7 +375,7 @@ void tcp_transport::drain_self_queue() {
     std::lock_guard lk(mu_);
     frames.swap(self_queue_);
   }
-  for (const bytes& wire : frames) deliver_frame(wire);
+  for (const bytes& wire : frames) deliver_frame(wire, nullptr);
 }
 
 void tcp_transport::loop() {
@@ -346,17 +390,19 @@ void tcp_transport::loop() {
     }
     for (int i = 0; i < nev; ++i) {
       const auto kind = static_cast<fd_kind>(events[i].data.u64 >> 32);
-      const auto idx = static_cast<std::uint32_t>(events[i].data.u64);
+      const auto id = static_cast<std::uint32_t>(events[i].data.u64);
       switch (kind) {
         case fd_kind::listener: {
           for (;;) {
             const int fd = ::accept4(listen_fd_, nullptr, nullptr,
                                      SOCK_NONBLOCK | SOCK_CLOEXEC);
             if (fd < 0) break;
-            conns_[fd] = conn_state{fd, {}};
+            const int one = 1;  // it may become a send leg
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+            conns_[fd] = conn_state{fd, no_process, {}};
             epoll_event ev{};
             ev.events = EPOLLIN;
-            ev.data.u64 = tag(fd_kind::conn, static_cast<std::uint32_t>(fd));
+            ev.data.u64 = tag(fd_kind::socket, static_cast<std::uint32_t>(fd));
             ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
           }
           break;
@@ -366,30 +412,15 @@ void tcp_transport::loop() {
           [[maybe_unused]] ssize_t n = ::read(wake_fd_, &val, sizeof(val));
           break;
         }
-        case fd_kind::peer: {
-          std::lock_guard lk(mu_);
-          peer_state& ps = peers_[idx];
-          if (ps.fd < 0) break;  // dropped since the event was queued
-          if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0) {
-            drop_peer_connection(ps);
-            break;
-          }
-          if (ps.connecting) {
-            int err = 0;
-            socklen_t len = sizeof(err);
-            ::getsockopt(ps.fd, SOL_SOCKET, SO_ERROR, &err, &len);
-            if (err != 0) {
-              drop_peer_connection(ps);
-              break;
-            }
-            ps.connecting = false;
-          }
-          flush_peer(ps, idx);
+        case fd_kind::socket: {
+          // Read before acting on a hang-up: frames that arrived before it
+          // still count, and the read that finds it closes the socket.
+          const int fd = static_cast<int>(id);
+          const std::uint32_t ev = events[i].events;
+          if ((ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0 && !read_conn(fd)) break;
+          if ((ev & EPOLLOUT) != 0) on_writable(fd);
           break;
         }
-        case fd_kind::conn:
-          read_conn(static_cast<int>(idx));
-          break;
       }
     }
     // Frames to self, from other threads (they woke us) or from the

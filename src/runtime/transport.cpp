@@ -106,12 +106,16 @@ void datagram_transport::pump() {
     handler h = it->second;  // copy so the handler can detach safely
     delivering_ = pkt.to;
     lk.unlock();
+    bool threw = false;
     try {
       h(proto::decode_message(pkt.wire));
     } catch (...) {
-      // A malformed or stale datagram must not kill the pump (UDP spirit).
+      // A malformed datagram or a throwing handler must not kill the pump
+      // (UDP spirit); it counts as a drop.
+      threw = true;
     }
     lk.lock();
+    if (threw) ++dropped_;
     delivering_ = no_process;
     idle_cv_.notify_all();
   }

@@ -16,6 +16,8 @@
 //   * handlers run on a transport-owned thread, never on the sender's;
 //   * a process that is not attached (crashed) silently loses its traffic,
 //     like a dead socket;
+//   * a message that does not decode, or whose handler throws, is lost the
+//     same way and counted in datagrams_dropped(); delivery goes on;
 //   * detach(p) returns only once no handler call for p is running, unless
 //     it is called on the transport's own thread (from a handler). The
 //     caller must therefore not hold anything p's handler may wait for;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -13,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -69,6 +71,57 @@ tcp_transport_options tcp_opt(std::uint32_t n, std::uint16_t base, std::uint32_t
 void wait_for(const std::atomic<int>& counter, int want, int ms = 3000) {
   for (int i = 0; i < ms && counter.load() < want; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+/// A plain blocking socket connected to loopback `port`, standing in for a
+/// peer process; -1 on failure.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+/// Appends one frame, [u32 LE length][payload], to a raw stream.
+void append_framed(bytes& stream, const bytes& payload) {
+  const auto len = static_cast<std::uint32_t>(payload.size());
+  for (int shift = 0; shift < 32; shift += 8) {
+    stream.push_back(static_cast<std::uint8_t>(len >> shift));
+  }
+  stream.insert(stream.end(), payload.begin(), payload.end());
+}
+
+/// The payload of the next whole frame on a raw socket, or nothing if none
+/// arrives within `timeout` or the stream ends first.
+std::optional<bytes> read_frame(int fd, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  bytes got;
+  for (;;) {
+    if (got.size() >= 4) {
+      const std::size_t len = static_cast<std::size_t>(got[0]) |
+                              (static_cast<std::size_t>(got[1]) << 8) |
+                              (static_cast<std::size_t>(got[2]) << 16) |
+                              (static_cast<std::size_t>(got[3]) << 24);
+      if (got.size() >= 4 + len) return bytes(got.begin() + 4, got.begin() + 4 + len);
+    }
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd pfd{fd, POLLIN, 0};
+    if (left.count() <= 0 || ::poll(&pfd, 1, static_cast<int>(left.count())) <= 0) {
+      return std::nullopt;
+    }
+    std::uint8_t chunk[4096];
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) return std::nullopt;
+    got.insert(got.end(), chunk, chunk + n);
   }
 }
 
@@ -188,23 +241,11 @@ TEST(TcpTransport, MalformedFrameIsCountedAsDropped) {
 
   proto::message m;
   m.from = process_id{0};
-  const bytes valid = proto::encode(m);
-  const bytes garbage = {0xee, 0x01, 0x02, 0x03, 0x04};  // kind 0xee: no such kind
   bytes stream;
-  for (const bytes* payload : {&garbage, &valid}) {
-    const auto len = static_cast<std::uint32_t>(payload->size());
-    for (int shift = 0; shift < 32; shift += 8) {
-      stream.push_back(static_cast<std::uint8_t>(len >> shift));
-    }
-    stream.insert(stream.end(), payload->begin(), payload->end());
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  append_framed(stream, {0xee, 0x01, 0x02, 0x03, 0x04});  // kind 0xee: no such kind
+  append_framed(stream, proto::encode(m));
+  const int fd = connect_raw(base);
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(base);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   ASSERT_EQ(::write(fd, stream.data(), stream.size()),
             static_cast<ssize_t>(stream.size()));
   wait_for(got, 1);
@@ -217,6 +258,150 @@ TEST(TcpTransport, DetachWaitsOutARunningHandler) {
   const std::uint16_t base = probe_base_port(1);
   tcp_transport t(tcp_opt(1, base, 0));
   expect_detach_waits_out_handler(t, process_id{0});
+}
+
+TEST(TcpTransport, HandlerExceptionCountsAsDrop) {
+  const std::uint16_t base = probe_base_port(1);
+  tcp_transport t(tcp_opt(1, base, 0));
+  expect_handler_exception_counts_as_drop(t, process_id{0});
+}
+
+// ---------- One connection per pair, used both ways ----------
+
+/// Makes `t`, process 1 of two, answer every frame with one to process 0
+/// that echoes its op_seq.
+void reply_to_process_0(tcp_transport& t) {
+  t.attach(process_id{1}, [&t](const proto::message& m) {
+    proto::message reply;
+    reply.kind = proto::msg_kind::sn_ack;
+    reply.from = process_id{1};
+    reply.op_seq = m.op_seq;
+    t.send(process_id{0}, reply);
+  });
+}
+
+/// Plays process 0 over a raw socket to `t` (process 1 of two; nothing
+/// listens on process 0's port): sends one frame and expects the reply back
+/// on the same connection within 1 s. Returns the socket.
+int expect_reply_on_the_request_connection(tcp_transport& t, std::uint16_t base) {
+  const int fd = connect_raw(static_cast<std::uint16_t>(base + 1));
+  EXPECT_GE(fd, 0);
+  proto::message request;
+  request.kind = proto::msg_kind::sn_query;
+  request.from = process_id{0};
+  request.op_seq = 17;
+  bytes stream;
+  append_framed(stream, proto::encode(request));
+  EXPECT_EQ(::write(fd, stream.data(), stream.size()),
+            static_cast<ssize_t>(stream.size()));
+  const std::optional<bytes> reply = read_frame(fd, std::chrono::seconds(1));
+  EXPECT_TRUE(reply.has_value()) << "no reply on the request's connection";
+  if (reply) {
+    const proto::message m = proto::decode_message(*reply);
+    EXPECT_EQ(m.from, process_id{1});
+    EXPECT_EQ(m.op_seq, 17u);
+  }
+  EXPECT_EQ(t.datagrams_dropped(), 0u);
+  return fd;
+}
+
+TEST(TcpTransport, ReplyRidesTheRequestsConnection) {
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport b(tcp_opt(2, base, 1));
+  reply_to_process_0(b);
+  const int fd = expect_reply_on_the_request_connection(b, base);
+  b.detach(process_id{1});
+  if (fd >= 0) ::close(fd);
+}
+
+TEST(TcpTransport, DeadSharedLegIsClosedAndReplaced) {
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport b(tcp_opt(2, base, 1));
+  reply_to_process_0(b);
+  const int fd = expect_reply_on_the_request_connection(b, base);
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  // Let b's epoll thread read the hang-up and close its socket. A new
+  // connection, which b then accepts, is likely to reuse that socket's
+  // number; it has sent nothing, so it must not carry b's frames.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const int idle = connect_raw(static_cast<std::uint16_t>(base + 1));
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  // No leg and nothing listening: the next send is refused and dropped, and
+  // the sender does not wait for that.
+  proto::message m;
+  m.from = process_id{1};
+  const auto start = std::chrono::steady_clock::now();
+  b.send(process_id{0}, m);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::milliseconds(100));
+  for (int i = 0; i < 3000 && b.datagrams_dropped() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(b.datagrams_dropped(), 1u);
+  EXPECT_FALSE(read_frame(idle, std::chrono::milliseconds(100)).has_value());
+  ::close(idle);
+
+  // Process 0 comes up: a later send opens a new leg and arrives.
+  tcp_transport a(tcp_opt(2, base, 0));
+  std::atomic<int> got{0};
+  a.attach(process_id{0}, [&](const proto::message&) { got += 1; });
+  b.send(process_id{0}, m);
+  wait_for(got, 1);
+  EXPECT_EQ(got.load(), 1);
+  EXPECT_EQ(b.datagrams_dropped(), 1u);
+  a.detach(process_id{0});
+  b.detach(process_id{1});
+}
+
+TEST(TcpTransport, PairSendingBothWaysAtOnceLosesNothing) {
+  // Both sides send before either has heard from the other, so each may
+  // open its own leg or bind the one the other opened; either way every
+  // frame arrives, in its sender's order.
+  constexpr std::uint64_t kFrames = 200;
+  const std::uint16_t base = probe_base_port(2);
+  tcp_transport a(tcp_opt(2, base, 0));
+  tcp_transport b(tcp_opt(2, base, 1));
+  std::mutex mu;
+  std::vector<std::uint64_t> got[2];  // op_seqs received by process 0, 1
+  std::atomic<int> received{0};
+  for (std::uint32_t self = 0; self < 2; ++self) {
+    tcp_transport& t = self == 0 ? a : b;
+    t.attach(process_id{self}, [&, self](const proto::message& m) {
+      std::lock_guard<std::mutex> lk(mu);
+      got[self].push_back(m.op_seq);
+      received += 1;
+    });
+  }
+  std::atomic<bool> go{false};
+  const auto sender = [&](tcp_transport& t, std::uint32_t self) {
+    while (!go) std::this_thread::yield();
+    for (std::uint64_t seq = 0; seq < kFrames; ++seq) {
+      proto::message m;
+      m.kind = proto::msg_kind::write;
+      m.from = process_id{self};
+      m.op_seq = seq;
+      t.send(process_id{1 - self}, m);
+    }
+  };
+  std::thread sa(sender, std::ref(a), 0u);
+  std::thread sb(sender, std::ref(b), 1u);
+  go = true;
+  sa.join();
+  sb.join();
+  wait_for(received, 2 * kFrames, 10000);
+  a.detach(process_id{0});
+  b.detach(process_id{1});
+  EXPECT_EQ(a.datagrams_dropped(), 0u);
+  EXPECT_EQ(b.datagrams_dropped(), 0u);
+  std::lock_guard<std::mutex> lk(mu);
+  for (std::uint32_t self = 0; self < 2; ++self) {
+    ASSERT_EQ(got[self].size(), kFrames) << "process " << self;
+    for (std::uint64_t seq = 0; seq < kFrames; ++seq) {
+      EXPECT_EQ(got[self][seq], seq) << "process " << self << " frame " << seq;
+    }
+  }
 }
 
 // A chain of hops, each sent from inside the previous hop's handler. Every

@@ -64,6 +64,11 @@ TEST(Transport, DetachWaitsOutARunningHandler) {
   expect_detach_waits_out_handler(t, process_id{0});
 }
 
+TEST(Transport, HandlerExceptionCountsAsDrop) {
+  datagram_transport t;
+  expect_handler_exception_counts_as_drop(t, process_id{0});
+}
+
 class RuntimePolicies : public ::testing::TestWithParam<const char*> {
  protected:
   static proto::protocol_policy policy() {

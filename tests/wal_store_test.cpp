@@ -595,6 +595,25 @@ TEST_F(WalFileMediaTest, StateSurvivesProcessRestart) {
   EXPECT_EQ(st2.last_recovery().log_stop, wal_scan_stop::clean_end);
 }
 
+TEST_F(WalFileMediaTest, FsyncPathWorks) {
+  // The fsync'd path the replicas of a real deployment take: appends, a
+  // snapshot install and a reopen, each synced to disk.
+  wal_store_config cfg;
+  cfg.compact_min_bytes = 128;
+  {
+    wal_store st(std::make_unique<file_media>(dir_, /*fsync_enabled=*/true), cfg);
+    for (int i = 0; i < 50; ++i) {
+      st.store(written0, b({static_cast<std::uint8_t>(i), 1}));
+    }
+    st.store(written7, b({7}));
+    ASSERT_GT(st.compactions(), 0u);
+  }
+  wal_store st2(std::make_unique<file_media>(dir_, true), cfg);
+  EXPECT_EQ(*st2.retrieve(written0), b({49, 1}));
+  EXPECT_EQ(*st2.retrieve(written7), b({7}));
+  EXPECT_EQ(st2.last_recovery().log_stop, wal_scan_stop::clean_end);
+}
+
 TEST_F(WalFileMediaTest, CompactionPersistsAcrossRestart) {
   wal_store_config cfg;
   cfg.compact_min_bytes = 128;
