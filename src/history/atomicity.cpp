@@ -1,17 +1,40 @@
 #include "history/atomicity.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "history/wellformed.h"
 
 namespace remus::history {
 namespace {
 
 struct read_ref {
-  std::size_t op;     // index into ops
+  std::uint32_t op;   // index into ops
   std::size_t write;  // index into writes (graph node)
+};
+
+/// Which constraint put an edge a -> b into the graph, and the reads it
+/// names (op indices); the explanation text is built from this on failure.
+struct edge_reason {
+  enum class kind : std::uint8_t {
+    initial,      // a is the initial write
+    write_write,  // P1: a wholly precedes b
+    write_read,   // C1: a wholly precedes `read`, which returns b
+    read_write,   // C2: `read` returns a and wholly precedes b
+    read_read,    // C3: `read` returns a, `later_read` returns b
+  };
+  kind why = kind::initial;
+  std::uint32_t read = 0;
+  std::uint32_t later_read = 0;
+};
+
+struct edge_hash {
+  std::size_t operator()(std::uint64_t k) const noexcept {
+    return static_cast<std::size_t>(mix_u64(k));
+  }
 };
 
 /// Finds one cycle in the constraint graph (for diagnostics) via iterative
@@ -105,28 +128,44 @@ check_result check_atomicity(const history_log& h, criterion c) {
       node = it->second;
       included[node] = true;  // a read-from write cannot be absent
     }
-    reads.push_back(read_ref{i, node});
+    reads.push_back(read_ref{static_cast<std::uint32_t>(i), node});
   }
 
-  // Build the constraint graph over included writes.
+  // Build the constraint graph over included writes. Each edge keeps the
+  // first constraint that produced it; its text is rendered only if the
+  // edge ends up in a reported cycle.
   std::vector<std::vector<std::size_t>> adj(nodes);
-  std::vector<std::string> edge_why;  // parallel to flattened edges, via map
-  std::map<std::pair<std::size_t, std::size_t>, std::string> why;
-  auto add_edge = [&](std::size_t a, std::size_t b, const std::string& reason)
-      -> check_result {
-    if (a == b) {
-      return {false, "contradictory constraint (" + reason + ") at " + describe_node(a),
-              false};
+  flat_hash_map<std::uint64_t, edge_reason, edge_hash> why;
+  auto add_edge = [&](std::size_t a, std::size_t b, edge_reason reason) {
+    const std::size_t known = why.size();
+    edge_reason& slot = why[(static_cast<std::uint64_t>(a) << 32) | b];
+    if (why.size() == known) return;
+    slot = reason;
+    adj[a].push_back(b);
+  };
+  auto render = [&](std::size_t a, std::size_t b, const edge_reason& e) -> std::string {
+    switch (e.why) {
+      case edge_reason::kind::initial:
+        return "initial value precedes all writes";
+      case edge_reason::kind::write_write:
+        return describe_node(a) + " precedes " + describe_node(b);
+      case edge_reason::kind::write_read:
+        return describe_node(a) + " precedes " + ops[e.read].describe() +
+               " which returns " + describe_node(b);
+      case edge_reason::kind::read_write:
+        return ops[e.read].describe() + " (returning " + describe_node(a) +
+               ") precedes " + describe_node(b);
+      case edge_reason::kind::read_read:
+        return ops[e.read].describe() + " precedes " + ops[e.later_read].describe() +
+               " but they return opposite-ordered writes";
     }
-    if (why.emplace(std::make_pair(a, b), reason).second) adj[a].push_back(b);
     return {};
   };
-  (void)edge_why;
 
   // w0 precedes every included write.
   for (std::size_t k = 1; k < nodes; ++k) {
     if (!included[k]) continue;
-    if (auto r = add_edge(0, k, "initial value precedes all writes"); !r.ok) return r;
+    add_edge(0, k, {edge_reason::kind::initial});
   }
 
   // P1: write-write real-time precedence.
@@ -134,13 +173,7 @@ check_result check_atomicity(const history_log& h, criterion c) {
     if (!included[a]) continue;
     for (std::size_t b = 1; b < nodes; ++b) {
       if (a == b || !included[b]) continue;
-      if (end2_of(a) < start2_of(b)) {
-        if (auto r = add_edge(a, b,
-                              describe_node(a) + " precedes " + describe_node(b));
-            !r.ok) {
-          return r;
-        }
-      }
+      if (end2_of(a) < start2_of(b)) add_edge(a, b, {edge_reason::kind::write_write});
     }
   }
 
@@ -157,21 +190,11 @@ check_result check_atomicity(const history_log& h, criterion c) {
       if (!included[w] || w == rr.write) continue;
       if (end2_of(w) < r.start2) {
         // C1: w wholly precedes r, so w cannot follow r's write.
-        if (auto res = add_edge(w, rr.write,
-                                describe_node(w) + " precedes " + r.describe() +
-                                    " which returns " + describe_node(rr.write));
-            !res.ok) {
-          return res;
-        }
+        add_edge(w, rr.write, {edge_reason::kind::write_read, rr.op});
       }
       if (r.end2 < start2_of(w)) {
         // C2: r wholly precedes w, so r's write must precede w.
-        if (auto res = add_edge(rr.write, w,
-                                r.describe() + " (returning " + describe_node(rr.write) +
-                                    ") precedes " + describe_node(w));
-            !res.ok) {
-          return res;
-        }
+        add_edge(rr.write, w, {edge_reason::kind::read_write, rr.op});
       }
     }
   }
@@ -181,13 +204,8 @@ check_result check_atomicity(const history_log& h, criterion c) {
     for (const read_ref& r2 : reads) {
       if (r1.write == r2.write) continue;
       if (ops[r1.op].end2 < ops[r2.op].start2) {
-        if (auto res = add_edge(r1.write, r2.write,
-                                ops[r1.op].describe() + " precedes " +
-                                    ops[r2.op].describe() +
-                                    " but they return opposite-ordered writes");
-            !res.ok) {
-          return res;
-        }
+        add_edge(r1.write, r2.write,
+                 {edge_reason::kind::read_read, r1.op, r2.op});
       }
     }
   }
@@ -198,9 +216,10 @@ check_result check_atomicity(const history_log& h, criterion c) {
     for (std::size_t i = 0; i < cyc.size(); ++i) {
       const std::size_t a = cyc[i];
       const std::size_t b = cyc[(i + 1) % cyc.size()];
-      const auto it = why.find({a, b});
       ex += "  " + describe_node(a) + " -> " + describe_node(b);
-      if (it != why.end()) ex += "   [" + it->second + "]";
+      if (const edge_reason* e = why.find((static_cast<std::uint64_t>(a) << 32) | b)) {
+        ex += "   [" + render(a, b, *e) + "]";
+      }
       ex += "\n";
     }
     return {false, ex, false};

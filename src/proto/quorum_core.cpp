@@ -1298,10 +1298,10 @@ void quorum_core::restore_volatile_from_stable() {
   std::int64_t max_sn = 0;
   store_.for_each(storage::record_area::written,
                   [&](register_id reg, const bytes& rec) {
-                    const auto tv = decode_tagged_value(rec);
+                    auto tv = decode_tagged_value(rec);
                     replica_slot& rs = replicas_[reg];
                     rs.vtag = tv.ts;
-                    rs.vval = tv.val;
+                    rs.vval = std::move(tv.val);
                     max_sn = std::max(max_sn, tv.ts.sn);
                   });
   wsn_ = max_sn;

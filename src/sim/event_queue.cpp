@@ -51,7 +51,6 @@ void event_queue::commit_far(const heap_entry& e, slot& s, time_ns delta) {
     const std::uint32_t pos = static_cast<std::uint32_t>(far_.size());
     far_.emplace_back();
     far_sift_up(pos, e);
-    flush_due_ = std::min(flush_due_, far_[0].at - far_horizon + 1);
   }
 }
 
@@ -124,16 +123,11 @@ void event_queue::pop_bucket(std::uint32_t b) {
 }
 
 void event_queue::advance_flush() {
-  while (!far_.empty() && far_[0].at - now_ < far_horizon) {
-    const heap_entry e = far_[0];
-    far_remove(0);
-    ring_insert(e, slot_at(e.idx));
-  }
   // Cascade through the bucket containing now() + far_horizon (inclusive):
-  // afterwards every unflushed wheel event is strictly beyond the horizon,
-  // so the ring always holds a complete prefix of the schedule. A flushed
-  // event is at most far_horizon + one wheel bucket out, which must stay
-  // below the ring span (see the static_assert next to the constants).
+  // afterwards every unflushed wheel event is strictly beyond the horizon.
+  // A flushed event is at most far_horizon + one wheel bucket out, which
+  // must stay below the ring span (see the static_assert next to the
+  // constants).
   const std::uint64_t target =
       (static_cast<std::uint64_t>(now_ + far_horizon) >> w2_shift) + 1;
   while (w2_flushed_ < target) {
@@ -147,12 +141,18 @@ void event_queue::advance_flush() {
     }
     ++w2_flushed_;
   }
-  // Next time a cascade can matter: the wheel boundary moves into a new
-  // bucket, or the overflow root crosses the horizon.
-  flush_due_ = static_cast<time_ns>(w2_flushed_ << w2_shift) - far_horizon;
-  if (!far_.empty()) {
-    flush_due_ = std::min(flush_due_, far_[0].at - far_horizon + 1);
+  // Overflow events follow the same boundary, not the horizon: the ring now
+  // holds cascaded events up to it, so an overflow event before it must be
+  // in the ring too, or a later ring event would pop first and carry now()
+  // past it. The ring thus always holds a complete prefix of the schedule.
+  const time_ns boundary = static_cast<time_ns>(w2_flushed_ << w2_shift);
+  while (!far_.empty() && far_[0].at < boundary) {
+    const heap_entry e = far_[0];
+    far_remove(0);
+    ring_insert(e, slot_at(e.idx));
   }
+  // Next time a cascade can matter: the boundary moves into a new bucket.
+  flush_due_ = boundary - far_horizon;
 }
 
 time_ns event_queue::next_time() const {
@@ -275,7 +275,7 @@ bool event_queue::step() {
   const std::uint32_t b = first_bucket();
   const bucket& bk = ring_[b];
   const heap_entry& ne = bk.v[bk.head];
-  now_ = ne.at;
+  advance_clock(ne.at);
   const std::uint32_t idx = ne.idx;
   pop_bucket(b);
   maybe_flush();  // keep the ring complete up to now() + far_horizon
@@ -308,7 +308,7 @@ std::uint64_t event_queue::run_until(time_ns deadline) {
       const bucket& bk = ring_[b];
       const heap_entry& ne = bk.v[bk.head];
       if (ne.at > deadline) break;
-      now_ = ne.at;
+      advance_clock(ne.at);
       const std::uint32_t idx = ne.idx;
       pop_bucket(b);
       maybe_flush();
@@ -317,7 +317,12 @@ std::uint64_t event_queue::run_until(time_ns deadline) {
     }
   }
 done:
-  if (now_ < deadline) now_ = deadline;
+  if (now_ < deadline) {
+    // A clock moved without a pop still keeps the ring complete, or a
+    // schedule made next could pass an event still outside the ring.
+    now_ = deadline;
+    maybe_flush();
+  }
   return n;
 }
 

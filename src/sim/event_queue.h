@@ -158,9 +158,9 @@ class event_queue {
 
   // Calendar ring: 4096 buckets of 2^10 ns (~1 us) cover ~4.2 ms. Direct
   // schedules land in the ring only when closer than far_horizon, but the
-  // wheel cascade can add events up to one wheel bucket past the horizon,
-  // so the real aliasing bound is far_horizon + 2^w2_shift < ring span
-  // (checked below).
+  // cascade moves whole wheel buckets, so the ring holds events up to one
+  // wheel bucket past the horizon; the real aliasing bound is far_horizon +
+  // 2^w2_shift < ring span (checked below).
   static constexpr std::uint32_t bucket_shift = 10;
   static constexpr time_ns bucket_ns = time_ns{1} << bucket_shift;
   static constexpr std::uint32_t ring_size = 4096;  // power of two
@@ -169,7 +169,9 @@ class event_queue {
   // Level-2 wheel: 4096 buckets of 2^20 ns (~1 ms) cover ~4.3 s; events
   // within half that horizon go here, later ones to the overflow heap.
   // Buckets are unsorted append-only; the cascade into the (sorting) ring
-  // happens before the flush boundary — now() + far_horizon — passes them.
+  // happens before now() + far_horizon reaches them. The flush boundary is
+  // the end of the last cascaded bucket: every event before it, overflow
+  // events included, is in the ring, and none after it is.
   static constexpr std::uint32_t w2_shift = 20;
   static constexpr std::uint32_t w2_size = 4096;  // power of two
   static constexpr time_ns w2_horizon = (time_ns{1} << w2_shift) * (w2_size / 2);
@@ -253,13 +255,20 @@ class event_queue {
   [[nodiscard]] std::uint32_t first_bucket() const;
   void ring_insert(const heap_entry& e, slot& s);
   void pop_bucket(std::uint32_t b);
-  /// Cascade wheel/overflow events whose time precedes now() + far_horizon
-  /// into the ring (they become ring-eligible as the clock approaches).
-  /// The fast path is one compare against the cached due time.
+  /// Cascade wheel/overflow events into the ring as the clock approaches:
+  /// through the wheel bucket holding now() + far_horizon, and every
+  /// overflow event before the new flush boundary. The fast path is one
+  /// compare against the cached due time.
   void maybe_flush() {
     if (now_ >= flush_due_) advance_flush();
   }
   void advance_flush();
+  /// Moves now() to the popped event's time; an earlier time means the
+  /// bands broke the schedule order, which no caller may observe.
+  void advance_clock(time_ns at) {
+    if (at < now_) throw driver_error("event_queue: clock would run backwards");
+    now_ = at;
+  }
   /// With the ring empty, fast-forward now() to the next band's first event
   /// (invisible: no event runs in the gap) and cascade it in. Returns that
   /// time. Call only when w2_count_ + far_.size() > 0.
@@ -282,9 +291,9 @@ class event_queue {
   std::vector<heap_entry> far_;      // 4-ary min-heap, multi-second overflow
   std::vector<std::uint32_t> free_;  // recycled slot indices
   sim_executor* executor_ = nullptr;
-  /// Earliest now() at which a cascade could matter; never above the true
-  /// due time (stale-low just triggers a recompute). Maintained by
-  /// advance_flush() and lowered by far-heap inserts.
+  /// Earliest now() at which a cascade could matter: far_horizon before
+  /// the flush boundary (w2_flushed_'s bucket start). Maintained by
+  /// advance_flush().
   time_ns flush_due_ = 0;
   time_ns now_ = 0;
   std::uint64_t next_seq_ = 1;

@@ -1,12 +1,12 @@
 #include "storage/wal_store.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 
 #include "common/error.h"
 
@@ -21,11 +21,43 @@ namespace {
   throw error("file_media: " + what + ": " + std::strerror(errno));
 }
 
+/// Closes a descriptor when the scope that owns it ends, thrown or not.
+class fd_closer {
+ public:
+  explicit fd_closer(int fd) : fd_(fd) {}
+  ~fd_closer() { ::close(fd_); }
+  fd_closer(const fd_closer&) = delete;
+  fd_closer& operator=(const fd_closer&) = delete;
+
+ private:
+  int fd_;
+};
+
+/// Reads the whole image at `p` into `out`, sized by fstat, with read()
+/// calls until that size or EOF (one call in practice). Only an absent
+/// file reads as an empty image: any other failure throws, because an
+/// unreadable image recovered as empty would let the next compaction
+/// overwrite the real one.
 void read_file(const std::filesystem::path& p, bytes& out) {
   out.clear();
-  std::ifstream in(p, std::ios::binary);
-  if (!in) return;  // absent file reads as an empty image
-  out.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return;
+    fail_media("open " + p.string());
+  }
+  const fd_closer closer(fd);  // after fail_media has read errno
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) fail_media("fstat " + p.string());
+  out.resize(static_cast<std::size_t>(st.st_size));
+  std::size_t off = 0;
+  while (off < out.size()) {
+    const ssize_t n = ::read(fd, out.data() + off, out.size() - off);
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) fail_media("read " + p.string());
+    if (n == 0) break;  // shrank since fstat
+    off += static_cast<std::size_t>(n);
+  }
+  out.resize(off);
 }
 
 }  // namespace
@@ -134,19 +166,26 @@ void wal_store::apply_record(record_key key, std::span<const std::uint8_t> paylo
     return;
   }
   slot = static_cast<std::uint32_t>(records_.size());
-  records_.emplace_back(key, bytes(payload.begin(), payload.end()));
+  bytes& buf = records_.emplace_back(key, bytes{}).second;
+  if (!spare_.empty()) {
+    buf = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  buf.assign(payload.begin(), payload.end());
 }
 
-void wal_store::apply_tombstone(record_key key) {
+bytes wal_store::apply_tombstone(record_key key) {
   const std::uint32_t* slot = index_.find(key);
-  if (slot == nullptr) return;
+  if (slot == nullptr) return {};
   const std::uint32_t at = *slot;
   live_bytes_ -= wal_frame_size(records_[at].second.size());
+  bytes dropped = std::move(records_[at].second);
   records_.erase(records_.begin() + at);
   index_.erase(key);
   for (std::uint32_t i = at; i < records_.size(); ++i) {
     index_[records_[i].first] = i;
   }
+  return dropped;
 }
 
 void wal_store::store(record_key key, const bytes& record) {
@@ -236,6 +275,10 @@ void wal_store::reopen() {
   bytes log;
   media_->load(snapshot, log);
 
+  // Replay refills the payload buffers of the records it replaces (and of
+  // the ones its tombstones drop) instead of allocating one per record.
+  spare_.reserve(records_.size());
+  for (auto& [k, v] : records_) spare_.push_back(std::move(v));
   records_.clear();
   index_.clear();
   live_bytes_ = 0;
@@ -245,8 +288,8 @@ void wal_store::reopen() {
   const auto replay = [this](const wal_frame& f) {
     if (f.kind == wal_frame_kind::record) {
       apply_record(f.key, f.payload);
-    } else {
-      apply_tombstone(f.key);
+    } else if (bytes dropped = apply_tombstone(f.key); dropped.capacity() != 0) {
+      spare_.push_back(std::move(dropped));
     }
   };
   // Snapshot first (base state), then the log (later mutations win). The
@@ -254,6 +297,7 @@ void wal_store::reopen() {
   // past the stop point is never surfaced.
   const wal_scan_result snap = scan_wal(snapshot, replay);
   const wal_scan_result tail = scan_wal(log, replay);
+  spare_ = {};  // free what replay did not reuse
   recovery_.snapshot_stop = snap.stop;
   recovery_.log_stop = tail.stop;
   recovery_.frames_replayed = snap.frames + tail.frames;

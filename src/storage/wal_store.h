@@ -58,7 +58,9 @@ class wal_media {
   /// valid prefix length when recovery discards a torn tail).
   virtual void truncate_log(std::size_t size) = 0;
 
-  /// Reads both images back (recovery).
+  /// Reads both images back (recovery). An absent image reads as empty;
+  /// one that exists but cannot be read throws (corrupt content is not
+  /// an error here: replay classifies it).
   virtual void load(bytes& snapshot, bytes& log) const = 0;
 
   /// Removes both images (fresh install, not crash recovery).
@@ -133,6 +135,8 @@ struct wal_recovery_stats {
   std::uint64_t frames_replayed = 0;
   wal_scan_stop snapshot_stop = wal_scan_stop::clean_end;
   wal_scan_stop log_stop = wal_scan_stop::clean_end;
+
+  friend bool operator==(const wal_recovery_stats&, const wal_recovery_stats&) = default;
 };
 
 class wal_store final : public stable_store {
@@ -152,7 +156,9 @@ class wal_store final : public stable_store {
   /// Rebuilds the live index from the media (crash recovery): replays the
   /// snapshot, then the log, stopping at the first invalid frame; a torn
   /// log tail is truncated on the media so later appends extend the valid
-  /// prefix. Never throws on corrupt media.
+  /// prefix. Never throws on corrupt *content*; an image the media cannot
+  /// read (an I/O error, not an absent file) throws before the index is
+  /// touched. Replay reuses the payload buffers of the records it replaces.
   void reopen();
 
   /// Crash injection: raw bytes appended to the log image without
@@ -181,9 +187,11 @@ class wal_store final : public stable_store {
     }
   };
 
-  /// Applies one replayed or freshly-appended frame to the live index.
+  /// Applies one replayed or freshly-appended frame to the live index. A
+  /// new key's payload buffer comes from `spare_` while it has one.
   void apply_record(record_key key, std::span<const std::uint8_t> payload);
-  void apply_tombstone(record_key key);
+  /// Returns the dropped record's payload buffer (empty if `key` is absent).
+  bytes apply_tombstone(record_key key);
   void maybe_compact();
 
   std::unique_ptr<wal_media> media_;
@@ -193,6 +201,8 @@ class wal_store final : public stable_store {
   std::vector<std::pair<record_key, bytes>> records_;
   flat_hash_map<record_key, std::uint32_t, key_hash> index_;
   bytes frame_buf_;  // reused append scratch
+  // Payload buffers replay may refill; empty outside reopen().
+  std::vector<bytes> spare_;
   std::size_t log_bytes_ = 0;
   std::size_t snapshot_bytes_ = 0;
   std::size_t live_bytes_ = 0;

@@ -1,12 +1,20 @@
 // Event-queue semantics across the typed-event / calendar-band rewrite:
 // equal-timestamp ordering, eager cancellation (including cancel-after-fire),
 // run_until boundary inclusivity, counter consistency, typed-event dispatch,
-// and cross-band (ring / level-2 wheel / overflow heap) ordering.
+// cross-band (ring / level-2 wheel / overflow heap) ordering, and a
+// differential check against a plain priority queue on (time, seq).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/event_queue.h"
 
 namespace remus::sim {
@@ -173,6 +181,128 @@ TEST(EventQueueBands, FarEventsSortAgainstLateRingInserts) {
   });
   q.run();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// The ring's direct-schedule horizon: 2048 buckets of 2^10 ns.
+constexpr time_ns ring_horizon = time_ns{2048} << 10;
+
+TEST(EventQueueBands, OverflowEventJustPastTheHorizonKeepsItsPlace) {
+  // A and F start in the overflow heap. When A runs, F is just past the
+  // horizon, but inside the wheel bucket the cascade already moved into the
+  // ring, so W (scheduled by A, later than F) goes straight to the ring. F
+  // must still run before W, and the clock must never step back.
+  event_queue q;
+  std::vector<char> order;
+  std::vector<time_ns> times;
+  const time_ns a = 3'000'000'000;
+  const auto note = [&](char c) {
+    order.push_back(c);
+    times.push_back(q.now());
+  };
+  q.schedule_at(a, [&] {
+    note('A');
+    q.schedule_at(a + ring_horizon + 800'000, [&] { note('W'); });
+  });
+  q.schedule_at(a + ring_horizon + 500'000, [&] { note('F'); });
+  EXPECT_EQ(q.run(), 3u);
+  EXPECT_EQ(order, (std::vector<char>{'A', 'F', 'W'}));
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+}
+
+TEST(EventQueueBands, ScheduleAfterADeadlineJumpKeepsOrder) {
+  // run_until that ends by its deadline moves the clock without running an
+  // event. A schedule made right after it, within the ring's horizon, must
+  // still order after an earlier overflow event the jump left behind.
+  event_queue q;
+  std::vector<char> order;
+  const time_ns f = 5'000'000'000;  // overflow heap at schedule time
+  q.schedule_at(f, [&] { order.push_back('F'); });
+  EXPECT_EQ(q.run_until(f - 1'000'000), 0u);
+  q.schedule_at(f + 500'000, [&] { order.push_back('W'); });
+  EXPECT_EQ(q.run(), 2u);
+  EXPECT_EQ(order, (std::vector<char>{'F', 'W'}));
+}
+
+TEST(EventQueueBands, MatchesAPriorityQueueOnRandomNestedSchedules) {
+  // Every event is checked, as it runs, against a std::priority_queue on
+  // (time, insertion seq) fed the same schedules and cancels. Delays are
+  // log-uniform from 1 ns to 10 s, so every band and every boundary between
+  // them is crossed; running events schedule and cancel others.
+  struct entry {
+    time_ns at;
+    std::uint64_t seq;
+    std::size_t id;
+    bool operator>(const entry& o) const {
+      return at != o.at ? at > o.at : seq > o.seq;
+    }
+  };
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    rng r(seed);
+    event_queue q;
+    std::priority_queue<entry, std::vector<entry>, std::greater<>> model;
+    std::vector<event_queue::token> tokens;  // by event id
+    std::vector<bool> live;                  // by event id: queued in the model
+    std::uint64_t seq = 0;
+    std::size_t ran = 0;
+    std::string mismatch;
+    const auto delay = [&r] {
+      return static_cast<time_ns>(std::exp(r.next_unit() * std::log(1e10)));
+    };
+    std::function<void(time_ns)> schedule = [&](time_ns at) {
+      const std::size_t id = tokens.size();
+      live.push_back(true);
+      model.push(entry{at, seq++, id});
+      tokens.push_back(q.schedule_at(at, [&, id, at] {
+        while (!model.empty() && !live[model.top().id]) model.pop();
+        if (mismatch.empty() && (model.empty() || model.top().id != id || q.now() != at)) {
+          mismatch = "event " + std::to_string(id) + " at " + std::to_string(at) +
+                     " ran at now " + std::to_string(q.now()) + "; expected event " +
+                     (model.empty() ? std::string("none")
+                                    : std::to_string(model.top().id) + " at " +
+                                          std::to_string(model.top().at));
+        }
+        if (!model.empty() && model.top().id == id) model.pop();
+        live[id] = false;
+        ++ran;
+        if (tokens.size() < 4000) {
+          for (std::uint64_t k = r.next_below(3); k > 0; --k) schedule(q.now() + delay());
+        }
+        if (r.chance(0.2)) {
+          const std::size_t victim = r.next_below(tokens.size());
+          const bool queued = live[victim];
+          if (q.cancel(tokens[victim]) != queued && mismatch.empty()) {
+            mismatch = "cancel of event " + std::to_string(victim) + " disagreed";
+          }
+          live[victim] = false;
+        }
+      }));
+    };
+    for (int i = 0; i < 200; ++i) schedule(delay());
+    // Drive with both entry points: single steps, and deadline runs followed
+    // by a schedule from outside any event, as the shard router's windows
+    // do. Half the deadlines stop up to 1 ms short of the next pending
+    // event, where a schedule a few ms out can land just after it.
+    while (!q.empty() && mismatch.empty()) {
+      if (r.chance(0.5)) {
+        q.step();
+        continue;
+      }
+      time_ns deadline = q.now() + delay();
+      if (r.chance(0.5)) {
+        deadline = std::max(q.now(), q.next_time() - 1 -
+                                         static_cast<time_ns>(r.next_below(1'000'000)));
+      }
+      q.run_until(deadline);
+      if (tokens.size() < 4000) {
+        schedule(q.now() + static_cast<time_ns>(std::exp(r.next_unit() * std::log(4e6))));
+      }
+    }
+    EXPECT_EQ(mismatch, "");
+    while (!model.empty() && !live[model.top().id]) model.pop();
+    EXPECT_TRUE(model.empty());
+    EXPECT_GT(ran, 1000u);
+  }
 }
 
 TEST(EventQueueScheduling, IntoThePastThrows) {

@@ -13,6 +13,7 @@
 #include "history/keyed.h"
 #include "history/tag_order.h"
 #include "proto/policy.h"
+#include "sim/kv_workload.h"
 #include "sim/scenario.h"
 
 namespace remus::core {
@@ -309,6 +310,59 @@ TEST(Lease, MigrationChaosWithLeaseFaultFamilyStaysAtomic) {
   // The spec round-trips with the leases flag intact (11th codec field).
   const scenario_spec back = scenario_spec::decode(spec.encode());
   EXPECT_EQ(back, spec);
+}
+
+TEST(Lease, OpenLoopHotReadExecutionKeepsTagOrder) {
+  // One open-loop hot-read execution submitted up front: 4 shards of 3
+  // replicas on the map store, leases at their default threshold and
+  // duration, 20k ops (99% reads, Zipf 0.99 over 4096 keys) from three
+  // clients at a 1 ms mean gap, so about 7 s of schedule sits in the event
+  // queue's overflow band. When an overflow event ran after a later ring
+  // event, the simulator's clock stepped back and a leased read ran "before"
+  // a write that had already completed: register 1 broke Lemma 1(i).
+  shard_router_config cfg;
+  cfg.shards = 4;
+  cfg.base.n = 3;
+  cfg.base.policy = proto::persistent_policy();
+  cfg.base.policy.read_leases = true;
+  cfg.base.seed = 48;
+  cfg.base.net.base_delay = 115'000;  // the paper's LAN testbed (bench_util.h)
+  cfg.base.net.jitter = 8'000;
+  cfg.base.net.bandwidth_bps = 100'000'000 / 8;
+  cfg.base.net.loopback_delay = 12'000;
+  cfg.base.disk.base_latency = 200'000;
+  cfg.base.disk.bandwidth_bps = 20'000'000;
+  cfg.base.process_step_cost = 6'000;
+  shard_router r(cfg);
+
+  sim::kv_workload_config wl;
+  wl.n = 3;
+  wl.key_count = 4096;
+  wl.zipf_theta = 0.99;
+  wl.read_fraction = 0.99;
+  wl.ops = 20'000;
+  wl.mean_gap = 1'000'000;
+  wl.seed = 48;
+  for (const sim::kv_op& op : sim::make_kv_workload(wl)) {
+    const sim::kv_op::entry& e = op.entries.front();
+    if (op.is_read) {
+      r.submit_read(op.p, e.reg, op.at);
+    } else {
+      r.submit_write(op.p, e.reg, e.val, op.at);
+    }
+  }
+  ASSERT_TRUE(r.run_until_idle());
+  EXPECT_GT(count_leases(r.shard(0)).hits, 0u);
+
+  const auto tags = history::check_tag_order_per_key(r.tagged_operations());
+  EXPECT_TRUE(tags.ok) << tags.explanation;
+  history::history_log sample;
+  for (const history::event& e : r.events()) {
+    if (e.reg % 64 == 0 || e.reg < 8) sample.push_back(e);
+  }
+  const auto verdict = history::check_persistent_atomicity_per_key(sample);
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+  EXPECT_GT(verdict.keys_checked, 40u);
 }
 
 }  // namespace

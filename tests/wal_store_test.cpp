@@ -2,10 +2,14 @@
 // the log-structured store (append, tombstones, compaction, recovery
 // accounting), the corruption matrix (every single-bit flip of the final
 // frame, every truncation offset), and the file-backed media.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/value.h"
 #include "storage/corruption_injector.h"
@@ -638,6 +643,46 @@ TEST_F(WalFileMediaTest, StrayTmpFilesAreSweptAtConstruction) {
   wal_store st(std::make_unique<file_media>(dir_, false));
   EXPECT_FALSE(std::filesystem::exists(dir_ / "snapshot.tmp"));
   EXPECT_FALSE(st.retrieve(written0).has_value());
+}
+
+TEST_F(WalFileMediaTest, ReopenAtTheFdLimitThrows) {
+  // An image that exists but cannot be opened (here: no free descriptor)
+  // must fail the recovery, not read as empty: an empty recovery would lose
+  // every record, and the next compaction would make the loss durable.
+  wal_store st(std::make_unique<file_media>(dir_, false));
+  for (std::uint8_t i = 0; i < 50; ++i) st.store(record_key{record_area::written, i}, b({i}));
+  const auto count = [&st] {
+    std::size_t n = 0;
+    st.for_each(record_area::written, [&n](register_id, const bytes&) { ++n; });
+    return n;
+  };
+  {
+    // Fill this process's descriptor table under a lowered soft limit; the
+    // guard closes the fillers and restores the limit however the block ends.
+    struct fd_limit {
+      rlimit saved{};
+      std::vector<int> fillers;
+      ~fd_limit() {
+        for (const int fd : fillers) ::close(fd);
+        ::setrlimit(RLIMIT_NOFILE, &saved);
+      }
+    } lim;
+    // A sanitizer runtime may need descriptors of its own: UBSan's vptr
+    // check opens a pipe when a (vtable, type) pair misses its cache, so
+    // the error type meets the check once while descriptors are free.
+    EXPECT_THROW(throw remus::error("warm-up"), remus::error);
+    ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &lim.saved), 0);
+    rlimit low = lim.saved;
+    low.rlim_cur = std::min<rlim_t>(lim.saved.rlim_cur, 256);
+    ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &low), 0);
+    for (int fd; (fd = ::open("/dev/null", O_RDONLY)) >= 0;) lim.fillers.push_back(fd);
+    ASSERT_EQ(errno, EMFILE);
+    EXPECT_THROW(st.reopen(), remus::error);
+    EXPECT_EQ(count(), 50u);  // the throw left the index as it was
+  }
+  st.reopen();
+  EXPECT_EQ(count(), 50u);
+  EXPECT_EQ(st.last_recovery().log_stop, wal_scan_stop::clean_end);
 }
 
 TEST_F(WalFileMediaTest, TornTailOnDiskIsTruncatedAtRecovery) {

@@ -15,7 +15,12 @@
 //                 harness's own replay of the valid prefix, every recovered
 //                 payload must be a payload that was actually stored under
 //                 that key (no checksum-failing record is ever surfaced),
-//                 and the recovery stats must account for every byte.
+//                 and the recovery stats must account for every byte. The
+//                 same images are then written to a scratch directory and
+//                 recovered again through file_media: state and stats must
+//                 match the in-memory recovery, and a torn or corrupt tail
+//                 must leave wal.log cut to the valid prefix. The file leg
+//                 adds nothing to the digest.
 //
 // Options:
 //   --runs N        cases to run (default 2000)
@@ -34,13 +39,17 @@
 //
 // Exit status: 0 = all cases clean (digest printed; same seed => same
 // digest), 1 = violation found, 2 = bad usage.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -120,6 +129,21 @@ model_map state_of(wal_store& s) {
     });
   }
   return out;
+}
+
+/// Scratch directory of the file leg, one per fuzzer process.
+const std::filesystem::path& file_leg_dir() {
+  static const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("remus_fuzz_wal_" + std::to_string(::getpid()));
+  return dir;
+}
+
+void write_image(const std::filesystem::path& p, const bytes& image) {
+  std::ofstream f(p, std::ios::binary | std::ios::trunc);
+  f.write(reinterpret_cast<const char*>(image.data()),
+          static_cast<std::streamsize>(image.size()));
+  if (!f) throw std::runtime_error("cannot write " + p.string());
 }
 
 std::string run_case(const case_params& c, bool inject, std::uint64_t& digest) {
@@ -270,6 +294,23 @@ std::string run_case(const case_params& c, bool inject, std::uint64_t& digest) {
                             (log.size() - log_scan.consumed)) {
       return "discarded mismatch";
     }
+
+    // File leg: the same images on disk (an empty snapshot is an absent
+    // file), recovered through file_media without fsync.
+    const std::filesystem::path& dir = file_leg_dir();
+    std::filesystem::create_directories(dir);
+    std::filesystem::remove(dir / "snapshot");
+    if (!snapshot.empty()) write_image(dir / "snapshot", snapshot);
+    write_image(dir / "wal.log", log);
+    {
+      wal_store from_files(std::make_unique<file_media>(dir, /*fsync_enabled=*/false), cfg);
+      if (state_of(from_files) != got) return "file recovery state differs from memory";
+      if (from_files.last_recovery() != st) return "file recovery stats differ from memory";
+    }
+    if (std::filesystem::file_size(dir / "wal.log") != log_scan.consumed) {
+      return "wal.log not cut to the valid prefix";
+    }
+
     digest = fold_u64(digest, static_cast<std::uint64_t>(st.log_stop));
     digest = fold_u64(digest, st.frames_replayed);
     for (const auto& [key, v] : got) {
@@ -346,6 +387,12 @@ int main(int argc, char** argv) {
     }
   }
 
+  const struct file_leg_cleanup {
+    ~file_leg_cleanup() {
+      std::error_code ec;
+      std::filesystem::remove_all(file_leg_dir(), ec);
+    }
+  } cleanup;
   rng campaign(seed);
   std::uint64_t digest = 0xcbf29ce484222325ULL;
   for (std::uint64_t i = 0; i < runs; ++i) {
