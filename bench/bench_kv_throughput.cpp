@@ -134,7 +134,7 @@ kv_result run_case(const kv_case& kc, std::uint32_t ops, std::uint64_t seed) {
   for (const auto h : handles) {
     const auto& res = c.result(h);
     if (!res.completed) continue;
-    r.completed_keyed_ops += res.is_batch ? res.batch_result.size() : 1;
+    r.completed_keyed_ops += res.entries.size();
   }
   r.keyed_ops_per_sec =
       r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.completed_keyed_ops) / r.wall_ms : 0;

@@ -134,7 +134,7 @@ scaling_result run_case(const scaling_case& sc, std::uint32_t ops, std::uint64_t
   for (const auto h : handles) {
     const auto& res = router.result(h);
     if (!res.completed) continue;
-    r.completed_keyed_ops += res.is_batch ? res.batch_result.size() : 1;
+    r.completed_keyed_ops += res.entries.size();
     last_reply = std::max(last_reply, res.completed_at);
   }
   r.makespan_ms = to_ms(last_reply);

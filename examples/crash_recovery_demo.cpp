@@ -63,7 +63,7 @@ history::history_log run_figure1(proto::protocol_policy pol, const char* label) 
   c.run_until_idle();
   c.network().clear_filter();
   std::printf("writer recovered; W(3) and a concurrent read ran\n");
-  std::printf("  read during W(3) -> %s\n", to_string(c.result(r1).v).c_str());
+  std::printf("  read during W(3) -> %s\n", to_string(c.result(r1).entries[0].val).c_str());
   (void)w3;
 
   // After W(3) completes, reads settle on v3.

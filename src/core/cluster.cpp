@@ -113,70 +113,51 @@ std::uint64_t cluster::durable_stores(process_id p) const {
 
 // ---- Workload scheduling ----------------------------------------------------
 
-cluster::op_handle cluster::submit_write(process_id p, register_id reg, value v,
-                                         time_ns at) {
+cluster::op_handle cluster::submit_op(process_id p, bool is_read,
+                                     std::vector<proto::batch_entry> entries, time_ns at) {
   const consumer_guard guard(*this);
   (void)node_at(p);  // validate
+  if (entries.empty()) throw driver_error("cluster: operation on no register");
   op_result r;
   r.submitted = true;
-  r.is_read = false;
+  r.is_read = is_read;
   r.p = p;
-  r.reg = reg;
-  r.v = std::move(v);
+  r.entries = std::move(entries);
   results_.push_back(std::move(r));
+  // Grown with results_, so recording a dispatch never allocates.
+  if (dispatched_.capacity() < results_.size()) dispatched_.reserve(results_.capacity());
   const op_handle h = results_.size() - 1;
   queue_.schedule_plain(std::max(at, now()), sim::event_kind::op_dispatch, p, h);
   return h;
 }
 
+cluster::op_handle cluster::submit_write(process_id p, register_id reg, value v,
+                                         time_ns at) {
+  std::vector<proto::batch_entry> entries(1);
+  entries[0].reg = reg;
+  entries[0].val = std::move(v);
+  return submit_op(p, /*is_read=*/false, std::move(entries), at);
+}
+
 cluster::op_handle cluster::submit_read(process_id p, register_id reg, time_ns at) {
-  const consumer_guard guard(*this);
-  (void)node_at(p);
-  op_result r;
-  r.submitted = true;
-  r.is_read = true;
-  r.p = p;
-  r.reg = reg;
-  results_.push_back(std::move(r));
-  const op_handle h = results_.size() - 1;
-  queue_.schedule_plain(std::max(at, now()), sim::event_kind::op_dispatch, p, h);
-  return h;
+  return submit_op(p, /*is_read=*/true, std::vector<proto::batch_entry>{{reg, {}, {}}}, at);
 }
 
 cluster::op_handle cluster::submit_write_batch(process_id p,
                                                std::vector<proto::write_op> ops,
                                                time_ns at) {
-  const consumer_guard guard(*this);
-  (void)node_at(p);
-  if (ops.empty()) throw driver_error("cluster: empty write batch");
-  op_result r;
-  r.submitted = true;
-  r.is_read = false;
-  r.is_batch = true;
-  r.p = p;
-  r.batch_args = std::move(ops);
-  results_.push_back(std::move(r));
-  const op_handle h = results_.size() - 1;
-  queue_.schedule_plain(std::max(at, now()), sim::event_kind::op_dispatch, p, h);
-  return h;
+  std::vector<proto::batch_entry> entries;
+  entries.reserve(ops.size());
+  for (proto::write_op& op : ops) entries.push_back({op.reg, {}, std::move(op.val)});
+  return submit_op(p, /*is_read=*/false, std::move(entries), at);
 }
 
 cluster::op_handle cluster::submit_read_batch(process_id p, std::vector<register_id> regs,
                                               time_ns at) {
-  const consumer_guard guard(*this);
-  (void)node_at(p);
-  if (regs.empty()) throw driver_error("cluster: empty read batch");
-  op_result r;
-  r.submitted = true;
-  r.is_read = true;
-  r.is_batch = true;
-  r.p = p;
-  r.batch_args.reserve(regs.size());
-  for (const register_id reg : regs) r.batch_args.push_back(proto::write_op{reg, {}});
-  results_.push_back(std::move(r));
-  const op_handle h = results_.size() - 1;
-  queue_.schedule_plain(std::max(at, now()), sim::event_kind::op_dispatch, p, h);
-  return h;
+  std::vector<proto::batch_entry> entries;
+  entries.reserve(regs.size());
+  for (const register_id reg : regs) entries.push_back({reg, {}, {}});
+  return submit_op(p, /*is_read=*/true, std::move(entries), at);
 }
 
 void cluster::submit_crash(process_id p, time_ns at, crash_style style) {
@@ -225,7 +206,7 @@ value cluster::read(process_id p, register_id reg) {
   while (!results_[h].completed && queue_.step()) {
   }
   if (!results_[h].completed) throw driver_error("cluster: read did not complete");
-  return results_[h].v;
+  return results_[h].entries[0].val;
 }
 
 void cluster::write(process_id p, register_id reg, value v) {
@@ -245,30 +226,18 @@ std::vector<history::tagged_op> cluster::tagged_operations() const {
   std::vector<history::tagged_op> out;
   for (const op_result& r : results_) {
     if (!r.completed) continue;
-    if (r.is_batch) {
-      // A batched op contributes one tagged_op per register it touched.
-      for (const proto::batch_entry& e : r.batch_result) {
-        history::tagged_op op;
-        op.is_read = r.is_read;
-        op.p = r.p;
-        op.reg = e.reg;
-        op.applied = e.ts;
-        op.val = e.val;
-        op.invoked_at = r.invoked_at;
-        op.replied_at = r.completed_at;
-        out.push_back(std::move(op));
-      }
-      continue;
+    // One tagged_op per register the operation touched.
+    for (const proto::batch_entry& e : r.entries) {
+      history::tagged_op op;
+      op.is_read = r.is_read;
+      op.p = r.p;
+      op.reg = e.reg;
+      op.applied = e.ts;
+      op.val = e.val;
+      op.invoked_at = r.invoked_at;
+      op.replied_at = r.completed_at;
+      out.push_back(std::move(op));
     }
-    history::tagged_op op;
-    op.is_read = r.is_read;
-    op.p = r.p;
-    op.reg = r.reg;
-    op.applied = r.applied;
-    op.val = r.v;
-    op.invoked_at = r.invoked_at;
-    op.replied_at = r.completed_at;
-    out.push_back(std::move(op));
   }
   return out;
 }
@@ -279,6 +248,49 @@ metrics::op_collector cluster::collect() const {
     if (r.completed) col.add(r.sample);
   }
   return col;
+}
+
+std::string cluster::check_history_times() const {
+  const consumer_guard guard(*this);
+  const history::history_log h = recorder_.events();
+  // Each process's invoke/reply events, in history order.
+  std::vector<std::vector<const history::event*>> by_process(cfg_.n);
+  for (const history::event& e : h) {
+    if (e.is_invoke() || e.is_reply()) by_process[e.p.index].push_back(&e);
+  }
+  std::vector<std::size_t> next(cfg_.n, 0);
+  const auto expect = [&](const op_result& r, bool reply, register_id reg,
+                          time_ns at) -> std::string {
+    const std::vector<const history::event*>& evs = by_process[r.p.index];
+    std::size_t& i = next[r.p.index];
+    const std::string what = std::string(reply ? "reply" : "invoke") + " of p" +
+                             std::to_string(r.p.index) + " k" + std::to_string(reg) +
+                             " at " + std::to_string(at);
+    if (i == evs.size()) return what + ": missing from the history";
+    const history::event& e = *evs[i++];
+    if (e.is_reply() != reply || e.reg != reg || e.at != at) {
+      return what + ": the history has " + history::to_string(e) + " at " +
+             std::to_string(e.at);
+    }
+    return {};
+  };
+  for (const op_handle oh : dispatched_) {
+    const op_result& r = results_[oh];
+    for (const proto::batch_entry& e : r.entries) {
+      if (std::string err = expect(r, false, e.reg, r.invoked_at); !err.empty()) return err;
+    }
+    if (!r.completed) continue;
+    for (const proto::batch_entry& e : r.entries) {
+      if (std::string err = expect(r, true, e.reg, r.completed_at); !err.empty()) return err;
+    }
+  }
+  for (std::uint32_t p = 0; p < cfg_.n; ++p) {
+    if (next[p] != by_process[p].size()) {
+      return "p" + std::to_string(p) + ": history event " +
+             history::to_string(*by_process[p][next[p]]) + " matches no invoked op";
+    }
+  }
+  return {};
 }
 
 // ---- Event dispatch ----------------------------------------------------------
@@ -325,7 +337,7 @@ void cluster::handle_op_dispatch(const sim::sim_event& ev) {
     if (ev.incarnation == nd.incarnation) dispatch_next_op(ev.target);
     return;
   }
-  nd.op_queue.push_back(pending_invocation{ev.a, results_[ev.a].is_read});
+  nd.op_queue.push_back(pending_invocation{ev.a});
   dispatch_next_op(ev.target);
 }
 
@@ -343,33 +355,24 @@ void cluster::dispatch_next_op(process_id p) {
   nd.op_queue.pop_front();
   nd.client_ctx.busy_until = now() + cfg_.process_step_cost;
   nd.active_op = inv.handle;
-  nd.active_invoked_at = now();
+  dispatched_.push_back(inv.handle);
 
   outputs_lease lease(*this);
-  const op_result& pending = results_[inv.handle];
-  if (pending.is_batch) {
-    // One invoke event per register: each register's projection of the
-    // history sees a plain single-register operation.
-    if (inv.is_read) {
-      batch_regs_scratch_.clear();
-      for (const proto::write_op& a : pending.batch_args) {
-        recorder_.invoke_read(p, a.reg, now());
-        batch_regs_scratch_.push_back(a.reg);
-      }
-      nd.core->invoke_read_batch(batch_regs_scratch_, lease.out);
+  op_result& r = results_[inv.handle];
+  r.invoked_at = now();
+  // One invoke event per register: each register's projection of the
+  // history sees a plain single-register operation.
+  for (const proto::batch_entry& e : r.entries) {
+    if (r.is_read) {
+      recorder_.invoke_read(p, e.reg, now());
     } else {
-      for (const proto::write_op& a : pending.batch_args) {
-        recorder_.invoke_write(p, a.reg, a.val, now());
-      }
-      nd.core->invoke_write_batch(pending.batch_args, lease.out);
+      recorder_.invoke_write(p, e.reg, e.val, now());
     }
-  } else if (inv.is_read) {
-    recorder_.invoke_read(p, pending.reg, now());
-    nd.core->invoke_read(pending.reg, lease.out);
+  }
+  if (r.is_read) {
+    nd.core->invoke_read(r.entries, lease.out);
   } else {
-    const value& v = pending.v;  // the write's argument
-    recorder_.invoke_write(p, pending.reg, v, now());
-    nd.core->invoke_write(pending.reg, v, lease.out);
+    nd.core->invoke_write(r.entries, lease.out);
   }
   // Fresh attribution window for this op (its identity is the core's current
   // (epoch, op_seq); effects emitted below match it).
@@ -527,32 +530,23 @@ void cluster::finish_active_op(process_id p, const proto::op_outcome& oc) {
 
   op_result& r = results_[h];
   r.completed = true;
-  r.v = oc.result;
-  r.applied = oc.applied;
-  r.batch_result = oc.batch;
-  r.invoked_at = nd.active_invoked_at;
+  r.entries = oc.entries;  // copy-assign: the arguments' buffers are reused
   r.completed_at = now();
   r.sample.is_read = oc.is_read;
-  r.sample.latency = now() - nd.active_invoked_at;
+  r.sample.latency = now() - r.invoked_at;
   r.sample.causal_logs = oc.causal_logs;
   r.sample.round_trips = oc.round_trips;
   r.sample.total_logs = nd.attr_logs;
   r.sample.messages = nd.attr_messages;
   r.sample.net_bytes = nd.attr_net_bytes;
 
-  if (r.is_batch) {
-    // One reply event per register, mirroring the per-register invokes.
-    for (const proto::batch_entry& e : oc.batch) {
-      if (oc.is_read) {
-        recorder_.reply_read(p, e.reg, e.val, now());
-      } else {
-        recorder_.reply_write(p, e.reg, now());
-      }
+  // One reply event per register, mirroring the per-register invokes.
+  for (const proto::batch_entry& e : r.entries) {
+    if (oc.is_read) {
+      recorder_.reply_read(p, e.reg, e.val, now());
+    } else {
+      recorder_.reply_write(p, e.reg, now());
     }
-  } else if (oc.is_read) {
-    recorder_.reply_read(p, oc.reg, oc.result, now());
-  } else {
-    recorder_.reply_write(p, oc.reg, now());
   }
   nd.active_op.reset();
   dispatch_next_op(p);

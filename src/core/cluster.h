@@ -15,7 +15,7 @@
 //   auto w = c.submit_write(process_id{0}, value_of_u32(7), 0);
 //   auto r = c.submit_read(process_id{1}, 2_ms);
 //   c.run_until_idle();
-//   assert(c.result(r).completed && value_as_u32(c.result(r).v) == 7);
+//   assert(c.result(r).completed && value_as_u32(c.result(r).entries[0].val) == 7);
 //   auto verdict = history::check_persistent_atomicity(c.events());
 //
 // Determinism: every run is a pure function of (cluster_config, submitted
@@ -35,6 +35,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -125,16 +126,12 @@ class cluster final : private sim::sim_executor {
     bool dropped = false;    // queued behind a crash, never invoked
     bool cut_short = false;  // invoked, then the process crashed mid-flight
     bool is_read = false;
-    bool is_batch = false;
     process_id p;
-    register_id reg = default_register;  // single-key ops
-    value v;      // read: returned value; write: argument
-    tag applied;  // tag returned/written
-    /// Batched ops: the submitted per-register arguments (reads: empty
-    /// values) and, once completed, the per-register (tag, value) results.
-    std::vector<proto::write_op> batch_args;
-    std::vector<proto::batch_entry> batch_result;
-    time_ns invoked_at = 0;
+    /// One entry per register, in submission order: a write's (register,
+    /// value) arguments or a read's registers. On completion each entry
+    /// holds the tag applied or returned, and a read's entry the value read.
+    std::vector<proto::batch_entry> entries;
+    time_ns invoked_at = 0;  // set at invocation, so a cut-short op has it too
     time_ns completed_at = 0;
     metrics::op_sample sample;
   };
@@ -144,6 +141,12 @@ class cluster final : private sim::sim_executor {
   /// tag-order verification (history::check_tag_order).
   [[nodiscard]] std::vector<history::tagged_op> tagged_operations() const;
   [[nodiscard]] metrics::op_collector collect() const;
+  /// One execution, one set of times: each process's invoke and reply
+  /// events in events() are exactly its invoked ops' invoked_at and
+  /// completed_at, in dispatch order — one pair per register of a multi-key
+  /// op, and only the invokes of a cut-short one. Returns an empty string
+  /// when they are, else the first difference.
+  [[nodiscard]] std::string check_history_times() const;
   [[nodiscard]] time_ns now() const { return queue_.now(); }
   /// Total simulator events executed so far (throughput accounting).
   [[nodiscard]] std::uint64_t events_executed() const { return queue_.executed(); }
@@ -231,9 +234,8 @@ class cluster final : private sim::sim_executor {
 
   struct pending_invocation {
     op_handle handle = 0;
-    bool is_read = false;
-    // The payload is read from results_[handle].v at invoke time (it is the
-    // write's recorded argument) — no per-invocation copy.
+    // The registers (and a write's values) are read from
+    // results_[handle].entries at invoke time — no per-invocation copy.
   };
 
   struct node {
@@ -258,7 +260,6 @@ class cluster final : private sim::sim_executor {
     std::uint64_t incarnation = 0;
     std::deque<pending_invocation> op_queue;
     std::optional<op_handle> active_op;
-    time_ns active_invoked_at = 0;
     /// Metric attribution for the active op. Effects carry their op's
     /// (origin, epoch, seq) identity; counts for the origin's in-flight op
     /// land here, and anything else (stale retransmissions, recovery
@@ -310,6 +311,8 @@ class cluster final : private sim::sim_executor {
   void do_crash(process_id p, crash_style style);
   void do_recover(process_id p);
   void finish_active_op(process_id p, const proto::op_outcome& oc);
+  op_handle submit_op(process_id p, bool is_read, std::vector<proto::batch_entry> entries,
+                      time_ns at);
   /// Count `n` messages (totalling `bytes` on the wire) against the origin's
   /// active op, if the identity (origin, epoch, seq) names it; stale traffic
   /// goes unattributed.
@@ -335,6 +338,8 @@ class cluster final : private sim::sim_executor {
   std::vector<std::unique_ptr<node>> nodes_;
   history::recorder recorder_;
   std::vector<op_result> results_;
+  /// Invoked ops, in dispatch order (check_history_times).
+  std::vector<op_handle> dispatched_;
   std::uint64_t recovery_stores_ = 0;
 
   // Single-consumer guard. A cluster is *shard-confined*: exactly one thread
@@ -366,7 +371,6 @@ class cluster final : private sim::sim_executor {
   // current consumer thread touches these, and none cross a reentrant call).
   std::vector<process_id> all_processes_;
   std::vector<process_id> unicast_to_;
-  std::vector<register_id> batch_regs_scratch_;
   std::vector<sim::delivery> route_scratch_;
   // Effect-batch pool: leases nest strictly LIFO (handler reentrancy), so a
   // depth index into the slab list replaces a free list.

@@ -224,21 +224,14 @@ scenario_outcome run_scenario(const scenario_spec& spec, std::uint32_t workers) 
   };
   const auto submit_op = [&](const sim::kv_op& op) {
     const time_ns at = std::max(op.at, router.now());
-    if (op.entries.size() > 1) {
-      if (op.is_read) {
-        std::vector<register_id> regs;
-        for (const auto& e : op.entries) regs.push_back(e.reg);
-        handles.push_back(router.submit_read_batch(op.p, std::move(regs), at));
-      } else {
-        std::vector<proto::write_op> ws;
-        for (const auto& e : op.entries) ws.push_back({e.reg, e.val});
-        handles.push_back(router.submit_write_batch(op.p, std::move(ws), at));
-      }
-    } else if (op.is_read) {
-      handles.push_back(router.submit_read(op.p, op.entries[0].reg, at));
+    if (op.is_read) {
+      std::vector<register_id> regs;
+      for (const auto& e : op.entries) regs.push_back(e.reg);
+      handles.push_back(router.submit_read_batch(op.p, std::move(regs), at));
     } else {
-      handles.push_back(
-          router.submit_write(op.p, op.entries[0].reg, op.entries[0].val, at));
+      std::vector<proto::write_op> ws;
+      for (const auto& e : op.entries) ws.push_back({e.reg, e.val});
+      handles.push_back(router.submit_write_batch(op.p, std::move(ws), at));
     }
   };
   std::size_t wi = 0;
@@ -283,6 +276,16 @@ scenario_outcome run_scenario(const scenario_spec& spec, std::uint32_t workers) 
   }
 
   out.history = router.events();
+  // One execution, one set of times: the checkers below judge the history,
+  // so it must carry exactly the times the shards' op results report.
+  out.times_consistent = true;
+  for (std::uint32_t s = 0; s < router.shard_count() && out.times_consistent; ++s) {
+    const std::string err = router.shard(s).check_history_times();
+    if (!err.empty()) {
+      out.times_consistent = false;
+      if (out.failure.empty()) out.failure = "shard " + std::to_string(s) + ": " + err;
+    }
+  }
   const history::criterion crit = cfg.base.policy.recovery_counter
                                       ? history::criterion::transient
                                       : history::criterion::persistent;

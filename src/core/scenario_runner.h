@@ -66,6 +66,9 @@ struct scenario_outcome {
   bool migration_closed = true;
   bool atomic = false;
   bool tag_ordered = false;
+  /// Every shard's history carries exactly its op results' times
+  /// (cluster::check_history_times).
+  bool times_consistent = false;
   /// First violation's explanation (empty when ok()).
   std::string failure;
   std::size_t completed_ops = 0;
@@ -76,7 +79,7 @@ struct scenario_outcome {
   std::vector<shard_router::migration_event> migration_log;
 
   [[nodiscard]] bool ok() const {
-    return ran_to_idle && migration_closed && atomic && tag_ordered;
+    return ran_to_idle && migration_closed && atomic && tag_ordered && times_consistent;
   }
 };
 

@@ -143,11 +143,7 @@ std::uint32_t shard_router::begin_add_shard() {
         track_old_op(reg, so.shard, so.h);
         add_to_worklist(reg);
       };
-      if (res.is_batch) {
-        for (const proto::write_op& a : res.batch_args) consider(a.reg);
-      } else {
-        consider(res.reg);
-      }
+      for (const proto::batch_entry& e : res.entries) consider(e.reg);
     }
   }
   moved_total_ = drain_worklist_.size();
@@ -285,18 +281,12 @@ void shard_router::pump_migration() {
         if (is_migrated(reg)) continue;  // handed off meanwhile: already fresh
         cluster::register_snapshot snap;
         snap.reg = reg;
-        if (res.is_batch) {
-          for (const proto::batch_entry& e : res.batch_result) {
-            if (e.reg != reg) continue;
-            snap.has_state = initial_tag < e.ts;
-            snap.written_ts = e.ts;
-            snap.written_val = e.val;
-            break;
-          }
-        } else {
-          snap.has_state = initial_tag < res.applied;
-          snap.written_ts = res.applied;
-          snap.written_val = res.v;
+        for (const proto::batch_entry& e : res.entries) {
+          if (e.reg != reg) continue;
+          snap.has_state = initial_tag < e.ts;
+          snap.written_ts = e.ts;
+          snap.written_val = e.val;
+          break;
         }
         if (!snap.has_state) continue;  // never-written key: nothing to anchor
         if (cfg_.test_fault ==
@@ -393,7 +383,6 @@ shard_router::op_handle shard_router::submit_write_batch(
   }
   routed_op op;
   op.is_read = false;
-  op.is_batch = true;
   op.p = p;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     if (split_ops_[s].empty()) continue;
@@ -428,7 +417,6 @@ shard_router::op_handle shard_router::submit_read_batch(process_id p,
   }
   routed_op op;
   op.is_read = true;
-  op.is_batch = true;
   op.p = p;
   for (std::uint32_t s = 0; s < shards_.size(); ++s) {
     if (split_regs_[s].empty()) continue;
@@ -572,11 +560,12 @@ void shard_router::merge_result(const routed_op& op) const {
   op_result r;
   r.submitted = true;
   r.is_read = op.is_read;
-  r.is_batch = op.is_batch;
   r.p = op.p;
   r.completed = true;
   r.invoked_at = no_time;
-  if (op.is_batch) r.batch_result.resize(op.original_pos.size());
+  // A split batch restores the caller's key order from original_pos; an
+  // unsplit op has one sub-op, already in that order.
+  if (!op.original_pos.empty()) r.entries.resize(op.original_pos.size());
   std::size_t flat = 0;  // position in the grouped-by-shard flattening
   bool all_terminal = true;  // every sub either completed or dropped
   for (const sub_op& so : op.subs) {
@@ -589,18 +578,11 @@ void shard_router::merge_result(const routed_op& op) const {
       r.invoked_at = std::min(r.invoked_at, sub.invoked_at);
       r.completed_at = std::max(r.completed_at, sub.completed_at);
     }
-    if (op.is_batch) {
-      if (sub.completed) {
-        for (std::size_t j = 0; j < sub.batch_result.size(); ++j) {
-          r.batch_result[op.original_pos[flat + j]] = sub.batch_result[j];
-        }
-      }
-      flat += sub.batch_args.size();
-    } else if (sub.completed) {
-      r.reg = sub.reg;
-      r.v = sub.v;
-      r.applied = sub.applied;
+    if (op.original_pos.empty()) {
+      r.entries = sub.entries;
+      continue;
     }
+    for (const proto::batch_entry& e : sub.entries) r.entries[op.original_pos[flat++]] = e;
   }
   // A window read is complete only once its cross-shard write-back landed
   // ("before returning" — the two-phase discipline across shards).

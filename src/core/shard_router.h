@@ -252,7 +252,7 @@ class shard_router final {
   op_handle submit_write(process_id p, register_id reg, value v, time_ns at);
   op_handle submit_read(process_id p, register_id reg, time_ns at);
   /// Splits `ops` by owning shard (one cluster batch per shard touched) and
-  /// completes when every sub-batch has. result().batch_result restores the
+  /// completes when every sub-batch has. result().entries restores the
   /// caller's key order.
   op_handle submit_write_batch(process_id p, std::vector<proto::write_op> ops,
                                time_ns at);
@@ -289,13 +289,10 @@ class shard_router final {
     bool completed = false;  // every sub-op completed (incl. any write-back)
     bool dropped = false;    // some sub-op was dropped behind a crash
     bool is_read = false;
-    bool is_batch = false;
-    process_id p;                        // local client index
-    register_id reg = default_register;  // single-key ops
-    value v;
-    tag applied;
-    /// Batched ops: per-register results in the caller's original key order.
-    std::vector<proto::batch_entry> batch_result;
+    process_id p;  // local client index
+    /// One (register, tag, value) per register, in the caller's key order;
+    /// set once the sub-op carrying the register completed.
+    std::vector<proto::batch_entry> entries;
     time_ns invoked_at = 0;   // min across sub-ops
     time_ns completed_at = 0; // max across sub-ops (and cross-shard write-backs)
   };
@@ -322,7 +319,6 @@ class shard_router final {
   };
   struct routed_op {
     bool is_read = false;
-    bool is_batch = false;
     process_id p;
     std::vector<sub_op> subs;
     /// Original position of each per-key result, in (sub, sub-batch-entry)

@@ -1,11 +1,16 @@
 #include "history/recorder.h"
 
+#include "common/error.h"
+
 namespace remus::history {
 
-void recorder::push(event e) {
+void recorder::push(event e, clock_fn clock) {
   std::lock_guard lk(mu_);
-  // Guard monotonicity: concurrent reporters may race by a tick.
-  if (!log_.empty() && e.at < log_.back().at) e.at = log_.back().at;
+  if (clock != nullptr) e.at = clock();
+  if (!log_.empty() && e.at < log_.back().at) {
+    throw driver_error("recorder: " + to_string(e) + " is earlier than the last event, " +
+                       to_string(log_.back()));
+  }
   log_.push_back(std::move(e));
 }
 
@@ -31,6 +36,30 @@ void recorder::crash(process_id p, time_ns at) {
 
 void recorder::recover(process_id p, time_ns at) {
   push(event{event_kind::recover, p, {}, at});
+}
+
+void recorder::invoke_read(process_id p, register_id reg, clock_fn clock) {
+  push(event{event_kind::invoke_read, p, {}, 0, reg}, clock);
+}
+
+void recorder::invoke_write(process_id p, register_id reg, const value& v, clock_fn clock) {
+  push(event{event_kind::invoke_write, p, v, 0, reg}, clock);
+}
+
+void recorder::reply_read(process_id p, register_id reg, const value& v, clock_fn clock) {
+  push(event{event_kind::reply_read, p, v, 0, reg}, clock);
+}
+
+void recorder::reply_write(process_id p, register_id reg, clock_fn clock) {
+  push(event{event_kind::reply_write, p, {}, 0, reg}, clock);
+}
+
+void recorder::crash(process_id p, clock_fn clock) {
+  push(event{event_kind::crash, p, {}, 0}, clock);
+}
+
+void recorder::recover(process_id p, clock_fn clock) {
+  push(event{event_kind::recover, p, {}, 0}, clock);
 }
 
 history_log recorder::events() const {

@@ -70,23 +70,17 @@ struct timer_request {
 struct op_outcome {
   std::uint64_t op_seq = 0;
   bool is_read = false;
-  /// Register the (single-key) operation targeted.
-  register_id reg = default_register;
-  /// Read: the returned value. Write: the written value (for the recorder).
-  value result;
-  /// The tag the operation applied (write) or returned (read).
-  tag applied;
   /// Causal-log count observed on the completion path (paper section I-B).
   std::uint32_t causal_logs = 0;
   /// Round-trips used (communication steps = 2x this).
   std::uint32_t round_trips = 0;
-  /// Batched operations: one (reg, applied tag, result value) per register.
-  /// Empty for single-key operations (result/applied/reg above are used).
-  std::vector<batch_entry> batch;
+  /// One (register, tag, value) per register, in invocation order: the tag
+  /// a read returned or a write applied, and the value read or written.
+  std::vector<batch_entry> entries;
 };
 
-/// Optional-like completion slot whose reset() keeps the outcome's value
-/// buffer alive, so a pooled `outputs` completes operations allocation-free.
+/// Optional-like completion slot whose reset() keeps the outcome's entry
+/// buffers alive, so a pooled `outputs` completes operations allocation-free.
 class completion_slot {
  public:
   [[nodiscard]] explicit operator bool() const noexcept { return set_; }
@@ -102,7 +96,7 @@ class completion_slot {
   void reset() noexcept { set_ = false; }
 
  private:
-  op_outcome v_;  // retains result-value capacity across reset()
+  op_outcome v_;  // retains the entries' capacity across reset()
   bool set_ = false;
 };
 

@@ -17,22 +17,42 @@ std::string to_string(msg_kind k) {
   return "?";
 }
 
+namespace {
+
+// The header's register slot, left empty by a message of several entries.
+const batch_entry no_entry{};
+
+/// The entry the header's register slot carries (see message.h).
+const batch_entry& header_entry(const message& m) {
+  return m.entries.size() == 1 ? m.entries.front() : no_entry;
+}
+
+/// Entries listed after the count: none when the header carries the one.
+std::size_t listed_entries(const message& m) {
+  return m.entries.size() == 1 ? 0 : m.entries.size();
+}
+
+}  // namespace
+
 bytes encode(const message& m) {
+  const batch_entry& head = header_entry(m);
   byte_writer w;
   w.put_u8(static_cast<std::uint8_t>(m.kind));
   w.put_process(m.from);
   w.put_u64(m.op_seq);
   w.put_u32(m.round);
   w.put_u64(m.epoch);
-  w.put_tag(m.ts);
-  w.put_value(m.val);
+  w.put_tag(head.ts);
+  w.put_value(head.val);
   w.put_u32(m.log_depth);
-  w.put_u32(m.reg);
-  w.put_u32(static_cast<std::uint32_t>(m.batch.size()));
-  for (const batch_entry& e : m.batch) {
-    w.put_u32(e.reg);
-    w.put_tag(e.ts);
-    w.put_value(e.val);
+  w.put_u32(head.reg);
+  w.put_u32(static_cast<std::uint32_t>(listed_entries(m)));
+  if (listed_entries(m) > 0) {
+    for (const batch_entry& e : m.entries) {
+      w.put_u32(e.reg);
+      w.put_tag(e.ts);
+      w.put_value(e.val);
+    }
   }
   w.put_u32(static_cast<std::uint32_t>(m.leases.size()));
   for (const lease_note& n : m.leases) {
@@ -52,23 +72,28 @@ message decode_message(std::span<const std::uint8_t> wire) {
   m.op_seq = r.get_u64();
   m.round = r.get_u32();
   m.epoch = r.get_u64();
-  m.ts = r.get_tag();
-  m.val = r.get_value();
+  batch_entry head;
+  head.ts = r.get_tag();
+  head.val = r.get_value();
   m.log_depth = r.get_u32();
-  m.reg = r.get_u32();
+  head.reg = r.get_u32();
   const std::uint32_t count = r.get_u32();
   // Every entry occupies >= 28 wire bytes; an unsatisfiable count is a
   // malformed message (reject before reserving anything count-sized).
   if (static_cast<std::size_t>(count) * 28 > r.remaining()) {
-    throw codec_error("message: bad batch count");
+    throw codec_error("message: bad entry count");
   }
-  m.batch.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    batch_entry e;
-    e.reg = r.get_u32();
-    e.ts = r.get_tag();
-    e.val = r.get_value();
-    m.batch.push_back(std::move(e));
+  if (count == 0) {
+    m.entries.push_back(std::move(head));
+  } else {
+    m.entries.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      batch_entry e;
+      e.reg = r.get_u32();
+      e.ts = r.get_tag();
+      e.val = r.get_value();
+      m.entries.push_back(std::move(e));
+    }
   }
   const std::uint32_t lease_count = r.get_u32();
   // Every lease note occupies exactly 12 wire bytes.
@@ -88,10 +113,12 @@ message decode_message(std::span<const std::uint8_t> wire) {
 
 std::size_t wire_size(const message& m) {
   // kind(1) + from(4) + op_seq(8) + round(4) + epoch(8)
-  // + tag(8 + 8 + 4) + value(4 + n) + depth(4) + reg(4) + batch count(4)
+  // + tag(8 + 8 + 4) + value(4 + n) + depth(4) + reg(4) + entry count(4)
   // + lease count(4)
-  std::size_t sz = 1 + 4 + 8 + 4 + 8 + 20 + 4 + m.val.size() + 4 + 4 + 4 + 4;
-  for (const batch_entry& e : m.batch) sz += 4 + 20 + 4 + e.val.size();
+  std::size_t sz = 1 + 4 + 8 + 4 + 8 + 20 + 4 + header_entry(m).val.size() + 4 + 4 + 4 + 4;
+  if (listed_entries(m) > 0) {
+    for (const batch_entry& e : m.entries) sz += 4 + 20 + 4 + e.val.size();
+  }
   sz += m.leases.size() * 12;  // reg(4) + holder_mask(8)
   return sz;
 }
@@ -100,19 +127,13 @@ std::string to_string(const message& m) {
   std::string out = to_string(m.kind);
   out += " from p" + std::to_string(m.from.index);
   out += " op" + std::to_string(m.op_seq) + "/r" + std::to_string(m.round);
-  if (m.is_batch()) {
-    out += " batch[";
-    for (std::size_t i = 0; i < m.batch.size(); ++i) {
-      if (i > 0) out += ", ";
-      out += "k" + std::to_string(m.batch[i].reg) + ":" + remus::to_string(m.batch[i].ts);
-      if (!m.batch[i].val.is_initial()) out += "=" + remus::to_string(m.batch[i].val);
-    }
-    out += "]";
-  } else {
-    if (m.reg != default_register) out += " k" + std::to_string(m.reg);
-    out += " ts=" + remus::to_string(m.ts);
-    if (!m.val.is_initial()) out += " val=" + remus::to_string(m.val);
+  out += " [";
+  for (std::size_t i = 0; i < m.entries.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += "k" + std::to_string(m.entries[i].reg) + ":" + remus::to_string(m.entries[i].ts);
+    if (!m.entries[i].val.is_initial()) out += "=" + remus::to_string(m.entries[i].val);
   }
+  out += "]";
   out += " d=" + std::to_string(m.log_depth);
   return out;
 }

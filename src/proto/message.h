@@ -8,6 +8,11 @@
 // (adopt-if-newer and log), but keeping it distinct lets tests and flawed
 // policy variants target it.
 //
+// A message concerns one or more registers and carries one entry per
+// register: queries list registers, update rounds and read acks carry each
+// register's (tag, value), and update acks list the registers they cover. A
+// single-key operation's messages carry one entry.
+//
 // Two metadata fields ride along:
 //  * `epoch`: a per-incarnation nonce, echoed in acks, so that
 //    acknowledgements from before a crash can never satisfy a phase started
@@ -15,6 +20,13 @@
 //  * `log_depth`: causal-log tracing (paper section I-B). A message carries
 //    the number of causally-ordered stable-storage writes that precede it
 //    within the current operation; acks after a server log carry depth + 1.
+//
+// Wire layout: the header (kind, from, op_seq, round, epoch), one register
+// slot (tag, value, log_depth, register), an entry count and the entries,
+// then the lease notes. A one-entry message puts its entry in the header's
+// register slot and writes count 0; a message of several entries leaves
+// that slot empty and lists them all. So a single-key message costs no
+// entry framing.
 #pragma once
 
 #include <cstdint>
@@ -55,15 +67,21 @@ static_assert(is_ack_kind(msg_kind::sn_ack) && is_ack_kind(msg_kind::write_ack) 
               is_ack_kind(msg_kind::lease_grant_ack) &&
               !is_ack_kind(msg_kind::lease_grant));
 
-/// One register's share of a batched message. Queries list registers
-/// (ts/val defaulted); acknowledgements and update rounds carry the
-/// register's (tag, value).
+/// One register's share of a message. Queries list registers (ts/val
+/// defaulted); read acks and update rounds carry the register's (tag,
+/// value); update acks name a register they cover.
 struct batch_entry {
   register_id reg = default_register;
   tag ts;
   value val;
 
   friend bool operator==(const batch_entry&, const batch_entry&) = default;
+};
+
+/// One register's share of a write invocation (the submit API's argument).
+struct write_op {
+  register_id reg = default_register;
+  value val;
 };
 
 /// A replica's note, attached to an update-round ack, that it holds a
@@ -86,20 +104,13 @@ struct message {
   std::uint64_t op_seq = 0;
   std::uint32_t round = 0;
   std::uint64_t epoch = 0;
-  /// Payload (meaning depends on kind; unused fields stay default).
-  tag ts;
-  value val;
   /// Causal-log tracing metadata (see file comment).
   std::uint32_t log_depth = 0;
-  /// Register this (single-key) message targets. Ignored when `batch` is
-  /// non-empty: a batched message carries one entry per register, so one
-  /// quorum round serves the whole key set (amortized round-trips).
-  register_id reg = default_register;
-  std::vector<batch_entry> batch;
+  /// One entry per register the message concerns (at least one on the
+  /// wire: a message built with none encodes as one default entry).
+  std::vector<batch_entry> entries;
   /// Lease notes riding on update-round acks (empty everywhere else).
   std::vector<lease_note> leases;
-
-  [[nodiscard]] bool is_batch() const noexcept { return !batch.empty(); }
 
   friend bool operator==(const message&, const message&) = default;
 };

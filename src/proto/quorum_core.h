@@ -23,15 +23,16 @@
 //              [persistent] re-run round 2 with every logged (writing) record
 //              [transient]  rec := rec + 1; store(recovered, rec)
 //
-// Multi-register semantics: all volatile and stable protocol state is keyed
-// by register_id (the replica map is a flat hash preserving the
-// zero-allocation steady state), and a *batched* invocation runs the same
-// two rounds for a whole set of distinct registers at once — one broadcast
-// carries every key's entry, every ack answers all of them, and a replica
-// acks a batched update only once every adopted key's log is durable. Since
-// linearizability is compositional, each register's projection of the
-// resulting history satisfies the algorithm's criterion independently
-// (checked by history::check_atomicity_per_key).
+// One operation shape: every invocation names a list of distinct registers,
+// and a single-key operation is a list of one. The two rounds run for the
+// whole list at once — one broadcast carries every register's entry, every
+// ack answers each register it lists, and a replica acks an update only once
+// every register it adopted is durably logged. All volatile and stable
+// protocol state is keyed by register_id (the replica map is a flat hash
+// preserving the zero-allocation steady state). Since linearizability is
+// local (Herlihy–Wing), each register's projection of the resulting history
+// satisfies the algorithm's criterion independently (checked by
+// history::check_atomicity_per_key), so a key set is as sound as one key.
 //
 // The policy switches (see policy.h) turn individual steps on or off; the
 // flawed variants used by the lower-bound tests are the same machine with a
@@ -40,8 +41,9 @@
 //
 // # Read leases (policy.read_leases)
 //
-// A process whose quorum reads keep hitting the same register turns the next
-// read's first round into a *grant* round (msg_kind::lease_grant): every
+// A process whose quorum reads keep hitting the same register turns its next
+// read of that one register into a *grant* round (msg_kind::lease_grant;
+// reads of several registers never take or use a lease): every
 // replica that answers first durably records (register, holder-bit) in the
 // `lease` stable area — through the same store_and_obsolete WAL path as every
 // other record — and only then acks with its (tag, value). The read then runs
@@ -62,10 +64,11 @@
 //     durable records are *grantor*-side only; a grantor's recovery restores
 //     its registry (conservative: it only makes writers wait).
 //
-// Writers learn of holders via lease notes attached to update-round acks and
-// must collect an ack from every noted holder before completing (on top of
-// the majority). Safety is quorum intersection: a completing update's
-// majority meets the grant's majority in some process r*, which either
+// Writers learn of holders via lease notes attached to update-round acks —
+// each note rides on an ack that covers its register — and must collect an
+// ack from every noted holder before completing (on top of the majority).
+// Safety is quorum intersection: a completing update's majority meets the
+// grant's majority in some process r*, which either
 // recorded the grant before serving the update — its ack carries the note,
 // so the update waits for the holder, who drops its holding when it serves
 // the update — or served the update before answering the grant, in which
@@ -73,26 +76,31 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/error.h"
 #include "common/flat_hash.h"
-#include "proto/register_core.h"
+#include "proto/effects.h"
+#include "proto/policy.h"
 #include "proto/records.h"
 #include "storage/stable_store.h"
 
 namespace remus::proto {
 
-class quorum_core final : public register_core {
+/// One process p_i of the emulation: the client role (invoking reads and
+/// writes for the application) and the listener role (serving the other
+/// processes' messages) of the paper's two-thread processes. Lifecycle:
+/// start(), then invocations (while idle() && ready()) and on_* inputs;
+/// crash() loses volatile state; recover() runs the policy's Recover().
+class quorum_core final {
  public:
   /// `store` must outlive the core and survives crash() (stable storage).
   quorum_core(protocol_policy pol, process_id self, std::uint32_t n,
               storage::stable_store& store, std::uint64_t initial_epoch);
 
-  using register_core::invoke_read;
-  using register_core::invoke_write;
-  using register_core::replica_tag;
-  using register_core::replica_value;
+  quorum_core(const quorum_core&) = delete;
+  quorum_core& operator=(const quorum_core&) = delete;
 
   // The sans-I/O contract: every entry point appends *effects* (messages to
   // send, records to log, timers to arm, an operation outcome) to `out`; the
@@ -102,39 +110,36 @@ class quorum_core final : public register_core {
 
   /// First call after construction; must emit no effects (a fresh process
   /// has nothing pending — recovery of a non-fresh one goes via recover()).
-  void start(outputs& out) override;
-  /// Begins a write of `reg`. Durability invariant on completion: when the
-  /// write's outcome is reported, a majority of processes have the written
-  /// (tag, value) in *stable* storage ([persistent] additionally: the writer
-  /// logged its (writing) pre-log before round 2, so a crashed writer's
-  /// recovery can finish the write). Tag invariant: the chosen tag exceeds
-  /// every tag a query majority reported (Lemma 1(ii): later writes get
-  /// strictly larger tags).
-  void invoke_write(register_id reg, const value& v, outputs& out) override;
-  /// Begins a read of `reg`. Invariant on completion: the returned (tag,
-  /// value) — the freshest of a query majority — is itself at a majority
-  /// (write-back round; replicas log before acking iff they adopt), so no
-  /// later read can return an older value (Lemma 1(i)).
-  void invoke_read(register_id reg, outputs& out) override;
-  /// Batched variants: the same two rounds over a set of *distinct*
-  /// registers — one broadcast per phase carries every key's entry, and a
-  /// replica acks a batched update only after ALL of its adopted keys' logs
-  /// are durable (the per-key invariants above then hold key-by-key).
-  void invoke_write_batch(const std::vector<write_op>& ops, outputs& out) override;
-  void invoke_read_batch(const std::vector<register_id>& regs, outputs& out) override;
+  void start(outputs& out);
+  /// Begins a write of each entry's register with the entry's value (its
+  /// tag is ignored); the registers must be distinct. Durability invariant
+  /// on completion: when the write's outcome is reported, a majority of
+  /// processes have every written (tag, value) in *stable* storage
+  /// ([persistent] additionally: the writer logged its (writing) pre-logs
+  /// before round 2, so a crashed writer's recovery can finish the write).
+  /// Tag invariant: each chosen tag exceeds every tag a query majority
+  /// reported for its register (Lemma 1(ii): later writes get strictly
+  /// larger tags).
+  void invoke_write(const std::vector<batch_entry>& ops, outputs& out);
+  /// Begins a read of each entry's register (tags and values ignored; the
+  /// registers must be distinct). Invariant on completion: each returned
+  /// (tag, value) — the freshest of a query majority — is itself at a
+  /// majority (write-back round; replicas log before acking iff they adopt),
+  /// so no later read can return an older value (Lemma 1(i)).
+  void invoke_read(const std::vector<batch_entry>& regs, outputs& out);
   /// Feeds a delivered message. Safe under fair-lossy channels: duplicates,
   /// reordering, and stale-epoch traffic are tolerated (acks are matched by
   /// (origin, epoch, op_seq, round); replicas adopt-if-newer, so replay is
   /// idempotent).
-  void on_message(const message& m, outputs& out) override;
+  void on_message(const message& m, outputs& out);
   /// Completion of the stable-storage write identified by `token`. Acks
   /// deferred on durability (server adopts, writer pre-logs) are released
   /// here — never before the log is on disk; that ordering IS the paper's
   /// causal-log discipline.
-  void on_log_done(std::uint64_t token, outputs& out) override;
+  void on_log_done(std::uint64_t token, outputs& out);
   /// Retransmission timer: re-broadcasts the in-flight phase's message
   /// (fair-lossy channels deliver a message sent infinitely often).
-  void on_timer(std::uint64_t token, outputs& out) override;
+  void on_timer(std::uint64_t token, outputs& out);
   /// A lease deadline (outputs::lease_timers) fired: the holder stops serving
   /// locally, or the grantor forgets its record (and erases the stable copy —
   /// pure compaction: a crash first merely restores an entry that expires
@@ -143,20 +148,23 @@ class quorum_core final : public register_core {
   /// Loses ALL volatile state (replica map, in-flight operation, pending
   /// acks); stable storage survives. The driver must discard every
   /// outstanding effect of this incarnation.
-  void crash() override;
+  void crash();
   /// Runs the policy's Recover() with a fresh epoch: restore volatile state
   /// from the (written) records, then [persistent] finish every pre-logged
-  /// write via a batched round-2, or [transient] durably bump the recovery
+  /// write in one round 2, or [transient] durably bump the recovery
   /// counter. ready() stays false — and invocations are rejected — until
   /// the procedure's own quorum rounds/logs complete.
-  void recover(std::uint64_t new_epoch, outputs& out) override;
+  void recover(std::uint64_t new_epoch, outputs& out);
 
-  [[nodiscard]] bool idle() const override { return cl_.phase == phase_kind::idle; }
-  [[nodiscard]] bool ready() const override { return up_ && ready_; }
-  [[nodiscard]] bool is_up() const override { return up_; }
-  [[nodiscard]] const protocol_policy& policy() const override { return pol_; }
-  [[nodiscard]] tag replica_tag(register_id reg) const override;
-  [[nodiscard]] value replica_value(register_id reg) const override;
+  /// No client operation in flight.
+  [[nodiscard]] bool idle() const { return cl_.phase == phase_kind::idle; }
+  /// Up and not inside a recovery procedure: invocations accepted.
+  [[nodiscard]] bool ready() const { return up_ && ready_; }
+  [[nodiscard]] bool is_up() const { return up_; }
+  [[nodiscard]] const protocol_policy& policy() const { return pol_; }
+  /// Replica-state introspection (tests, diagnostics).
+  [[nodiscard]] tag replica_tag(register_id reg = default_register) const;
+  [[nodiscard]] value replica_value(register_id reg = default_register) const;
 
   /// Recovery-counter value (transient emulation; 0 otherwise).
   [[nodiscard]] std::int64_t recoveries() const { return rec_; }
@@ -176,9 +184,9 @@ class quorum_core final : public register_core {
   /// generation can bias toward schedules that exercise under-hit branches.
   /// Cumulative across crashes (a run diagnostic, not protocol state).
   struct branch_stats {
-    std::uint64_t adoptions = 0;         // serve_update adopted a newer value
-    std::uint64_t stale_updates = 0;     // serve_update kept the local value
-    std::uint64_t adopt_splits = 0;      // batched serve mixing adopt + stale
+    std::uint64_t adoptions = 0;         // a served update adopted a newer value
+    std::uint64_t stale_updates = 0;     // a served update kept the local value
+    std::uint64_t adopt_splits = 0;      // a served update mixing adopt + stale
     std::uint64_t retransmits = 0;       // timer-driven phase re-broadcasts
     std::uint64_t retransmit_trims = 0;  // settled keys trimmed from those
     std::uint64_t recovery_finish_writes = 0;  // persistent recovery round 2
@@ -236,23 +244,22 @@ class quorum_core final : public register_core {
     value vval;
   };
 
-  /// One register's share of an in-flight batched (or single-key, slot 0
-  /// unused) client operation.
-  struct batch_slot {
+  /// One register's share of the in-flight client operation.
+  struct op_slot {
     register_id reg = default_register;
-    value payload;        // write argument
-    tag pending_tag;      // tag chosen for round 2
-    std::int64_t max_sn = 0;
-    tag best_tag;         // freshest (tag, value) seen in a read's round 1
-    value best_val;
+    /// Write: the tag chosen for round 2 and the argument. Read: the
+    /// freshest (tag, value) seen in round 1, written back in round 2.
+    tag ts;
+    value val;
+    std::int64_t max_sn = 0;  // write round 1: largest sequence number seen
     bool have_first = false;
-    tag first_tag;        // first reply (safe-register reads)
+    tag first_tag;  // first reply (safe-register reads)
     value first_val;
-    /// Update-round settlement, per register: acks list the registers they
-    /// cover, so each register independently reaches its own majority of
-    /// durable copies. A settled register (ack_count >= quorum) is dropped
-    /// from retransmissions when the policy trims them.
-    std::vector<bool> acked;  // indexed by process
+    /// The phase's acks, per register: acks list the registers they cover,
+    /// so each register independently reaches its own majority (in an
+    /// update round, of durable copies). A settled register (ack_count >=
+    /// quorum) is dropped from retransmissions when the policy trims them.
+    std::vector<bool> acked;  // indexed by process; reset per phase
     std::uint32_t ack_count = 0;
     /// Leaseholders this register's update must additionally hear from
     /// (merged from the acks' lease notes; bit h = process h).
@@ -263,62 +270,35 @@ class quorum_core final : public register_core {
     phase_kind phase = phase_kind::idle;
     std::uint64_t op_seq = 0;
     bool is_read = false;
-    register_id reg = default_register;  // single-key target
-    value payload;        // write argument
-    tag pending_tag;      // tag chosen for round 2
-    std::int64_t max_sn = 0;
-    tag best_tag;         // freshest (tag, value) seen in a read's round 1
-    value best_val;
-    bool have_first = false;
-    tag first_tag;        // first reply (safe-register reads)
-    value first_val;
-    std::vector<bool> responded;
-    std::uint32_t responses = 0;
     std::uint32_t depth = 0;  // causal-log depth along this op
     std::uint64_t retrans_token = 0;
     message current;  // message being repeated until enough acks arrive
-    // Batched operation state: slots [0, batch_n) are live; the vector only
-    // grows, so slot buffers (payloads, best/first values) keep their
-    // capacity across operations.
-    bool is_batch = false;
-    std::uint32_t batch_n = 0;
-    std::vector<batch_slot> batch;
+    // Slots [0, slot_count) are live; the vector only grows, so slot buffers
+    // keep their capacity across operations.
+    std::uint32_t slot_count = 0;
+    std::vector<op_slot> slots;
     std::uint32_t prelogs_pending = 0;  // outstanding (writing) stores
     // Lease state of the in-flight op (see quorum_core.cpp, "Read leases").
     bool lease_grant = false;     // this read's round 1 installs a lease
     bool lease_canceled = false;  // grant voided (update served / expired)
-    std::uint64_t lease_token = 0;        // the grant's expiry-timer token
-    std::uint64_t lease_req_mask = 0;     // single-key update: noted holders
+    std::uint64_t lease_token = 0;  // the grant's expiry-timer token
 
-    /// Reset for the next operation, keeping buffer capacity (payload,
-    /// best/first values, `current`'s value) so steady-state operation
-    /// startup allocates nothing.
+    /// Reset for the next operation, keeping buffer capacity (slots and
+    /// `current`) so steady-state operation startup allocates nothing.
     void reset() {
       phase = phase_kind::idle;
       op_seq = 0;
       is_read = false;
-      reg = default_register;
-      payload.data.clear();
-      pending_tag = tag{};
-      max_sn = 0;
-      best_tag = tag{};
-      best_val.data.clear();
-      have_first = false;
-      first_tag = tag{};
-      first_val.data.clear();
-      responses = 0;
       depth = 0;
       retrans_token = 0;
-      is_batch = false;
-      batch_n = 0;
+      slot_count = 0;
       prelogs_pending = 0;
       lease_grant = false;
       lease_canceled = false;
       lease_token = 0;
-      lease_req_mask = 0;
-      // `responded` is re-assigned per phase; `current` is fully re-staged
-      // by stage_msg() before any phase reads it; batch slots are re-staged
-      // by claim_slot() before use.
+      // `current` is fully re-staged by stage_msg() before any phase reads
+      // it; slots are re-staged by claim_slot() and begin_phase() before
+      // use.
     }
   };
 
@@ -330,7 +310,7 @@ class quorum_core final : public register_core {
       lease_record  // grantor's (lease) store; ack the grant once durable
     };
     kind k = kind::server_adopt;
-    // server_adopt fields: the ack to send once durable.
+    // lease_record fields: the ack to send once durable.
     process_id to;
     std::uint64_t op_seq = 0;
     std::uint32_t round = 0;
@@ -340,16 +320,17 @@ class quorum_core final : public register_core {
     /// lease_record: the holder mask snapshot the store carries — becomes
     /// the grantor's durable_mask when the store lands.
     std::uint64_t lease_mask = 0;
-    /// Non-zero: this log belongs to a batched update; the ack is owned by
-    /// the batch_ack group with this token and fires when all logs land.
-    std::uint64_t group = 0;
+    /// server_adopt: index of the deferred ack this log gates.
+    std::uint32_t ack = 0;
   };
 
-  /// Deferred acknowledgement of a batched update: sent once `remaining`
-  /// per-register (written) logs are durable. `regs` lists every register of
-  /// the served message (adopted or not) — the ack reports them all, since
-  /// "durable at >= this tag" holds for each once the adopted logs land.
-  struct batch_ack {
+  /// Deferred acknowledgement of a served update: sent once `remaining`
+  /// per-register (written) logs are durable. `regs` lists the registers the
+  /// ack covers — "durable at >= the served tag" holds for each once the
+  /// adopted logs land. A slot with nothing remaining is free for reuse, so
+  /// `regs` keeps its capacity and a steady stream of updates allocates
+  /// nothing.
+  struct deferred_ack {
     process_id to;
     std::uint64_t op_seq = 0;
     std::uint32_t round = 0;
@@ -372,9 +353,10 @@ class quorum_core final : public register_core {
 
   void check_input_allowed(const char* what) const;
   void check_invocation_allowed(const char* what) const;
+  /// Resets the client state for a new operation over `regs` (distinct).
+  void start_op(const std::vector<batch_entry>& regs, bool is_read);
   void begin_phase(phase_kind ph, outputs& out);
   void proceed_after_query(outputs& out);
-  void begin_update_round(outputs& out);
   void finish_operation(outputs& out);
   [[nodiscard]] bool ack_matches(const message& m) const;
   void handle_ack(const message& m, outputs& out);
@@ -382,47 +364,57 @@ class quorum_core final : public register_core {
   /// or recovery's finish-write round).
   [[nodiscard]] bool in_update_phase() const;
   /// Marks the registers `m` covers as acked by its sender; returns true if
-  /// any register was newly covered.
-  bool cover_batch_slots(const message& m);
-  /// All live batch slots durable at their own majority.
-  [[nodiscard]] bool batch_update_settled() const;
+  /// any (process, register) pair was newly covered.
+  bool cover_slots(const message& m);
+  /// Every live slot acked by its own majority and by its noted
+  /// leaseholders.
+  [[nodiscard]] bool phase_settled() const;
+  /// Process `p` acked every live slot in this phase.
+  [[nodiscard]] bool covered_by(std::uint32_t p) const;
   void serve(const message& m, outputs& out);
   void serve_update(const message& m, outputs& out);
-  void serve_update_batch(const message& m, outputs& out);
-  /// Overwrite every header field of cl_.current (the phase's broadcast
-  /// message) in place, reusing its value buffer; callers then set ts/val
-  /// (and batch entries for batched phases).
+  /// Overwrite every field of cl_.current (the phase's broadcast message) in
+  /// place: one entry per live slot naming its register, with an empty tag
+  /// and value that update rounds then fill in. Reuses the entries' value
+  /// buffers.
   message& stage_msg(msg_kind k, std::uint32_t round, std::uint32_t depth);
-  /// Stages a write_ack answering `req` and returns it (batched-update
-  /// servers append the register list the ack covers).
-  message& send_ack(const message& req, std::uint32_t depth, outputs& out);
+  /// Stages an update round whose entries carry each slot's (ts, val).
+  void begin_update_round(msg_kind k, phase_kind ph, outputs& out);
+  /// Stages a reply to `to` echoing a request's identity; the caller sets
+  /// the entries.
+  message& stage_reply(process_id to, msg_kind k, std::uint64_t op_seq,
+                       std::uint32_t round, std::uint64_t epoch, std::uint32_t depth,
+                       outputs& out);
+  /// Sets `e` to the replica's (tag, value) of `reg` — the value only when
+  /// `with_value` (an SN_ack carries the tag alone).
+  void fill_entry(batch_entry& e, register_id reg, bool with_value) const;
   [[nodiscard]] std::uint64_t fresh_token() { return next_token_++; }
   void arm_timer(outputs& out);
   void restore_volatile_from_stable();
-  /// Slot i of the in-flight batch, re-staged for register `r`.
-  batch_slot& claim_slot(std::uint32_t i, register_id r);
-  /// Live slot for register `r` of the in-flight batch (nullptr if absent).
-  [[nodiscard]] batch_slot* find_slot(register_id r);
-  void emit_prelog(register_id reg, const tag& ts, const value& val, bool lead,
-                   outputs& out);
+  /// Slot i of the in-flight operation, re-staged for register `r`.
+  op_slot& claim_slot(std::uint32_t i, register_id r);
+  /// Live slot for register `r` of the in-flight operation (nullptr if absent).
+  [[nodiscard]] op_slot* find_slot(register_id r);
+  void emit_prelog(const op_slot& s, bool lead, outputs& out);
   /// Queues the settled write's (writing) records for piggybacked erasure
   /// on the next pre-log (the paper's "writing record obsolete" note).
   void mark_prelogs_obsolete();
+  /// A free deferred-ack slot (reused, or appended when none is free).
+  std::uint32_t claim_deferred_ack();
   // ---- Read-lease helpers (see the file comment's "Read leases") ----
+  /// A grant round for `reg` is in flight and not yet voided.
+  [[nodiscard]] bool grant_pending_for(register_id reg) const;
   /// Drops/cancels any holding of `reg` because an update for it is being
   /// served (`m` identifies the update, so a grant's own write-back never
   /// cancels itself).
   void drop_holding_on_update(const message& m, register_id reg);
-  /// Appends a lease note to an update-round ack for every served register
-  /// with a recorded grant (single-key `req.reg` or every batch entry).
-  void attach_lease_notes(message& ack, const message& req);
-  void attach_lease_note_for(message& ack, register_id reg);
-  /// Merges an update ack's lease notes into the op's holder requirement.
+  /// Appends a lease note to an update-round ack when `reg` has a recorded
+  /// grant.
+  void attach_lease_note(message& ack, register_id reg);
+  /// Merges an update ack's lease notes into its slots' holder requirements.
   void merge_lease_notes(const message& m);
-  /// Every noted holder of the single-key op has acked.
-  [[nodiscard]] bool lease_reqs_met() const;
-  /// Batched update slot settled: own majority AND every noted holder.
-  [[nodiscard]] bool slot_settled(const batch_slot& s) const;
+  /// Slot settled: own majority AND every noted holder.
+  [[nodiscard]] bool slot_settled(const op_slot& s) const;
 
   const protocol_policy pol_;
   const process_id self_;
@@ -437,7 +429,7 @@ class quorum_core final : public register_core {
   std::int64_t wsn_ = 0;    // local write counter (single-writer variants)
   client_state cl_;
   flat_hash_map<std::uint64_t, pending_log, token_hash> pending_logs_;
-  flat_hash_map<std::uint64_t, batch_ack, token_hash> batch_acks_;
+  std::vector<deferred_ack> deferred_acks_;
   /// (writing) records whose write has settled at a majority: dead weight
   /// for recovery, erased via the NEXT pre-log's store_and_obsolete batch.
   /// Volatile by design — losing the list merely delays compaction, never

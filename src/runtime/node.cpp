@@ -1,6 +1,7 @@
 #include "runtime/node.h"
 
 #include <chrono>
+#include <utility>
 
 #include "common/error.h"
 
@@ -67,7 +68,7 @@ void node::pump(std::unique_lock<std::mutex>& lk, proto::outputs& out) {
     armed_delay_ = t.delay;
   }
   if (out.completion) {
-    last_outcome_ = *out.completion;
+    last_outcome_ = std::move(*out.completion);  // `out` is the caller's scratch
     cv_.notify_all();
   }
   if (out.recovery_complete) {
@@ -119,36 +120,41 @@ void node::await_completion(std::unique_lock<std::mutex>& lk, std::uint64_t op_s
   }
 }
 
-value node::read(register_id reg) {
-  std::unique_lock lk(mu_);
+proto::op_outcome node::run_op(std::unique_lock<std::mutex>& lk, bool is_read,
+                               register_id reg, const value& v) {
   if (!core_->ready() || !core_->idle()) {
-    throw precondition_error("node: read() while not ready/idle");
+    throw precondition_error("node: operation while not ready/idle");
   }
-  recorder_.invoke_read(self_, reg, wall_now());
+  op_entries_.resize(1);
+  op_entries_[0].reg = reg;
+  op_entries_[0].val = v;
   proto::outputs out;
-  core_->invoke_read(reg, out);
+  if (is_read) {
+    recorder_.invoke_read(self_, reg, wall_now);
+    core_->invoke_read(op_entries_, out);
+  } else {
+    recorder_.invoke_write(self_, reg, v, wall_now);
+    core_->invoke_write(op_entries_, out);
+  }
   const std::uint64_t seq = core_->current_op_seq();
   pump(lk, out);
   await_completion(lk, seq);
-  const value result = last_outcome_->result;
+  proto::op_outcome oc = std::move(*last_outcome_);
   last_outcome_.reset();
-  recorder_.reply_read(self_, reg, result, wall_now());
-  return result;
+  return oc;
+}
+
+value node::read(register_id reg) {
+  std::unique_lock lk(mu_);
+  proto::op_outcome oc = run_op(lk, /*is_read=*/true, reg, initial_value());
+  recorder_.reply_read(self_, reg, oc.entries[0].val, wall_now);
+  return std::move(oc.entries[0].val);
 }
 
 void node::write(register_id reg, const value& v) {
   std::unique_lock lk(mu_);
-  if (!core_->ready() || !core_->idle()) {
-    throw precondition_error("node: write() while not ready/idle");
-  }
-  recorder_.invoke_write(self_, reg, v, wall_now());
-  proto::outputs out;
-  core_->invoke_write(reg, v, out);
-  const std::uint64_t seq = core_->current_op_seq();
-  pump(lk, out);
-  await_completion(lk, seq);
-  last_outcome_.reset();
-  recorder_.reply_write(self_, reg, wall_now());
+  (void)run_op(lk, /*is_read=*/false, reg, v);
+  recorder_.reply_write(self_, reg, wall_now);
 }
 
 void node::crash() {
@@ -163,14 +169,14 @@ void node::crash() {
   if (!core_->is_up()) return;  // an overlapping crash() got here first
   attached_ = false;
   core_->crash();
-  recorder_.crash(self_, wall_now());
+  recorder_.crash(self_, wall_now);
   cv_.notify_all();  // wake any waiter; it observes the crash and aborts
 }
 
 void node::recover() {
   std::unique_lock lk(mu_);
   if (core_->is_up()) throw precondition_error("node: recover() while up");
-  recorder_.recover(self_, wall_now());
+  recorder_.recover(self_, wall_now);
   recovery_done_ = false;
   net_.attach(self_, [this](const proto::message& m) { on_datagram(m); });
   attached_ = true;

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <vector>
 
 #include "history/recorder.h"
 #include "proto/quorum_core.h"
@@ -66,6 +67,10 @@ class node {
   /// may unlock around network sends.
   void pump(std::unique_lock<std::mutex>& lk, proto::outputs& out);
   void await_completion(std::unique_lock<std::mutex>& lk, std::uint64_t op_seq);
+  /// Invokes a one-register read or write (`v` ignored for reads), records
+  /// its invocation, and blocks until its outcome.
+  proto::op_outcome run_op(std::unique_lock<std::mutex>& lk, bool is_read, register_id reg,
+                           const value& v);
 
   const process_id self_;
   const std::uint32_t n_;
@@ -78,6 +83,7 @@ class node {
   std::condition_variable cv_;
   std::unique_ptr<proto::quorum_core> core_;
   std::optional<proto::op_outcome> last_outcome_;
+  std::vector<proto::batch_entry> op_entries_;  // the invocation's one entry
   bool recovery_done_ = false;
   bool attached_ = false;
   std::uint64_t armed_timer_ = 0;  // latest timer token requested by the core

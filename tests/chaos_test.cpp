@@ -485,8 +485,7 @@ TEST(Fuzz, TruncatedRealMessagesRejectedCleanly) {
   m.op_seq = 7;
   m.round = 2;
   m.epoch = 123;
-  m.ts = tag{9, 1, process_id{2}};
-  m.val = value_of_size(64);
+  m.entries = {{0, tag{9, 1, process_id{2}}, value_of_size(64)}};
   const bytes wire = encode(m);
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     bytes prefix(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(cut));
@@ -499,7 +498,7 @@ TEST(Fuzz, BitflippedMessagesEitherParseOrThrow) {
   message m;
   m.kind = msg_kind::read_ack;
   m.from = process_id{1};
-  m.val = value_of_u32(5);
+  m.entries = {{0, tag{}, value_of_u32(5)}};
   const bytes wire = encode(m);
   rng r(17);
   for (int i = 0; i < 2000; ++i) {

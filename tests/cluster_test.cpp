@@ -184,9 +184,36 @@ TEST(LogComplexity, ReadLogsWhenPropagatingAFresherValue) {
   const auto r = c.submit_read(process_id{1}, c.now());
   ASSERT_TRUE(c.run_until_idle());
   ASSERT_TRUE(c.result(r).completed);
-  EXPECT_EQ(c.result(r).v, value_of_u32(9));
+  EXPECT_EQ(c.result(r).entries[0].val, value_of_u32(9));
   EXPECT_EQ(c.result(r).sample.causal_logs, 1u);
   EXPECT_GE(c.result(r).sample.total_logs, 3u);  // the other replicas adopt
+}
+
+// ---------- Message complexity (the paper's 4n parity) ----------
+
+TEST(MessageComplexity, SingleKeyOpsCostFourNMessagesAndPinnedBytes) {
+  // A fault-free write and read at n=5: two rounds each of a broadcast and n
+  // acks, so 4n = 20 messages per op, under every algorithm. The byte counts
+  // pin the single-key wire layout that every message of these ops uses.
+  struct pin {
+    protocol_policy pol;
+    std::uint64_t write_bytes;
+    std::uint64_t read_bytes;
+  };
+  for (const pin& p : {pin{proto::crash_stop_policy(), 1320, 1340},
+                       pin{proto::transient_policy(), 1320, 1340},
+                       pin{proto::persistent_policy(), 1320, 1340}}) {
+    cluster c(make_config(p.pol));
+    const auto w = c.submit_write(process_id{0}, value_of_u32(7), 0);
+    ASSERT_TRUE(c.run_until_idle());
+    const auto r = c.submit_read(process_id{1}, c.now());
+    ASSERT_TRUE(c.run_until_idle());
+    ASSERT_TRUE(c.result(w).completed && c.result(r).completed) << p.pol.name;
+    EXPECT_EQ(c.result(w).sample.messages, 20u) << p.pol.name;
+    EXPECT_EQ(c.result(r).sample.messages, 20u) << p.pol.name;
+    EXPECT_EQ(c.result(w).sample.net_bytes, p.write_bytes) << p.pol.name;
+    EXPECT_EQ(c.result(r).sample.net_bytes, p.read_bytes) << p.pol.name;
+  }
 }
 
 // ---------- Crash-recovery behaviour ----------
@@ -254,7 +281,7 @@ TEST(CrashRecovery, TransientRecoveryBumpsCounterOnly) {
   // Next write's tag carries the counter.
   const auto w = c.submit_write(process_id{0}, value_of_u32(2), c.now());
   ASSERT_TRUE(c.run_until_idle());
-  EXPECT_EQ(c.result(w).applied.rec, 1);
+  EXPECT_EQ(c.result(w).entries[0].ts.rec, 1);
 }
 
 TEST(CrashRecovery, OpsQueuedDuringRecoveryRunAfterIt) {
@@ -379,10 +406,10 @@ TEST(Driver, ResultsExposeAppliedTags) {
   cluster c(make_config(proto::persistent_policy()));
   const auto w = c.submit_write(process_id{2}, value_of_u32(5), 0);
   ASSERT_TRUE(c.run_until_idle());
-  EXPECT_EQ(c.result(w).applied, (tag{1, 0, process_id{2}}));
+  EXPECT_EQ(c.result(w).entries[0].ts, (tag{1, 0, process_id{2}}));
   const auto r = c.submit_read(process_id{0}, c.now());
   ASSERT_TRUE(c.run_until_idle());
-  EXPECT_EQ(c.result(r).applied, (tag{1, 0, process_id{2}}));
+  EXPECT_EQ(c.result(r).entries[0].ts, (tag{1, 0, process_id{2}}));
 }
 
 TEST(Driver, SingleProcessClusterWorks) {

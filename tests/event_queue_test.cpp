@@ -352,7 +352,7 @@ TEST(EventQueueTyped, SharedMessagePayloadIsRefcountedNotCopied) {
   proto::message m;
   m.kind = proto::msg_kind::write;
   m.from = process_id{1};
-  m.val = value_of_u32(7);
+  m.entries = {{0, tag{}, value_of_u32(7)}};
 
   struct count_exec final : sim_executor {
     int delivered = 0;
@@ -362,7 +362,7 @@ TEST(EventQueueTyped, SharedMessagePayloadIsRefcountedNotCopied) {
       // Every delivery of the broadcast sees the same pooled object.
       if (payload == nullptr) payload = &*ev.msg;
       EXPECT_EQ(payload, &*ev.msg);
-      EXPECT_EQ(ev.msg->val, value_of_u32(7));
+      EXPECT_EQ(ev.msg->entries[0].val, value_of_u32(7));
     }
   } exec;
   event_queue q;

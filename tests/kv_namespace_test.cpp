@@ -37,9 +37,7 @@ TEST(KeyedWire, SingleKeyMessageRoundTrips) {
   m.op_seq = 9;
   m.round = 2;
   m.epoch = 77;
-  m.ts = tag{4, 0, process_id{2}};
-  m.val = value_of_u32(123);
-  m.reg = 31;
+  m.entries = {{31, tag{4, 0, process_id{2}}, value_of_u32(123)}};
   const bytes wire = proto::encode(m);
   EXPECT_EQ(wire.size(), proto::wire_size(m));
   EXPECT_EQ(proto::decode_message(wire), m);
@@ -56,27 +54,32 @@ TEST(KeyedWire, BatchedMessageRoundTrips) {
     e.reg = k;
     e.ts = tag{static_cast<std::int64_t>(k), 0, process_id{0}};
     e.val = value_of_u32(k * 10);
-    m.batch.push_back(std::move(e));
+    m.entries.push_back(std::move(e));
   }
   const bytes wire = proto::encode(m);
   EXPECT_EQ(wire.size(), proto::wire_size(m));
   const proto::message d = proto::decode_message(wire);
   EXPECT_EQ(d, m);
-  ASSERT_EQ(d.batch.size(), 3u);
-  EXPECT_EQ(d.batch[2].reg, 700u);
+  ASSERT_EQ(d.entries.size(), 3u);
+  EXPECT_EQ(d.entries[2].reg, 700u);
 }
 
 TEST(KeyedWire, AbsurdBatchCountRejected) {
   proto::message m;
   m.kind = proto::msg_kind::sn_query;
   m.from = process_id{0};
-  bytes wire = proto::encode(m);
-  // Patch the batch-count field (trailing u32) to an unsatisfiable value.
-  wire[wire.size() - 4] = 0xff;
-  wire[wire.size() - 3] = 0xff;
-  wire[wire.size() - 2] = 0xff;
-  wire[wire.size() - 1] = 0x7f;
-  EXPECT_THROW((void)proto::decode_message(wire), codec_error);
+  m.entries = {{9, tag{}, {}}};
+  const bytes wire = proto::encode(m);
+  // The message ends with the entry count and the lease count (u32 each);
+  // patch either to an unsatisfiable value.
+  for (const std::size_t field : {wire.size() - 8, wire.size() - 4}) {
+    bytes bad = wire;
+    bad[field] = 0xff;
+    bad[field + 1] = 0xff;
+    bad[field + 2] = 0xff;
+    bad[field + 3] = 0x7f;
+    EXPECT_THROW((void)proto::decode_message(bad), codec_error) << "field at " << field;
+  }
 }
 
 // ---------- Independent registers over one cluster ----------
@@ -119,7 +122,7 @@ TEST(KeyedCluster, BatchedWriteThenBatchedRead) {
   const auto w = c.submit_write_batch(process_id{0}, ops, 0);
   ASSERT_TRUE(c.run_until_idle());
   ASSERT_TRUE(c.result(w).completed);
-  ASSERT_EQ(c.result(w).batch_result.size(), 8u);
+  ASSERT_EQ(c.result(w).entries.size(), 8u);
 
   std::vector<register_id> regs;
   for (std::uint32_t k = 0; k < 8; ++k) regs.push_back(k);
@@ -127,10 +130,10 @@ TEST(KeyedCluster, BatchedWriteThenBatchedRead) {
   ASSERT_TRUE(c.run_until_idle());
   const auto& res = c.result(r);
   ASSERT_TRUE(res.completed);
-  ASSERT_EQ(res.batch_result.size(), 8u);
+  ASSERT_EQ(res.entries.size(), 8u);
   for (std::uint32_t k = 0; k < 8; ++k) {
-    EXPECT_EQ(res.batch_result[k].reg, k);
-    EXPECT_EQ(res.batch_result[k].val, value_of_u32(1000 + k));
+    EXPECT_EQ(res.entries[k].reg, k);
+    EXPECT_EQ(res.entries[k].val, value_of_u32(1000 + k));
   }
 
   const auto verdict = history::check_persistent_atomicity_per_key(c.events());
@@ -184,6 +187,31 @@ TEST(KeyedCluster, DuplicateRegisterInBatchRejected) {
 }
 
 // ---------- Keyed recovery replay ----------
+
+// ---------- One execution, one set of times ----------
+
+TEST(KeyedHistoryTimes, HistoryCarriesEveryInvokedOpsTimes) {
+  // Single-key, batched and cut-short ops at one process, plus concurrent
+  // traffic at the others: each process's invoke/reply events must be
+  // exactly its ops' invoked_at/completed_at, in dispatch order.
+  cluster c(cfg_of(proto::persistent_policy(), 5));
+  const auto w = c.submit_write(process_id{0}, 3, value_of_u32(1), 0);
+  const auto bw = c.submit_write_batch(
+      process_id{0}, {{4, value_of_u32(2)}, {5, value_of_u32(3)}, {6, value_of_u32(4)}}, 0);
+  const auto br = c.submit_read_batch(process_id{1}, {3, 4, 5}, 1_ms);
+  const auto r = c.submit_read(process_id{2}, 6, 1_ms);
+  ASSERT_TRUE(c.run_until_idle());
+  // Cut short: p3 crashes while its batched write is in flight.
+  const auto cut = c.submit_write_batch(process_id{3}, {{7, value_of_u32(5)}, {8, value_of_u32(6)}},
+                                        c.now());
+  c.submit_crash(process_id{3}, c.now() + 100_us);
+  ASSERT_TRUE(c.run_until_idle());
+  for (const auto h : {w, bw, br, r}) ASSERT_TRUE(c.result(h).completed);
+  ASSERT_TRUE(c.result(cut).cut_short);
+  // A cut-short op reports when it was invoked, too.
+  EXPECT_GT(c.result(cut).invoked_at, 0);
+  EXPECT_EQ(c.check_history_times(), "");
+}
 
 TEST(KeyedRecovery, RecoveryRestoresEveryRegister) {
   cluster c(cfg_of(proto::persistent_policy(), 3));

@@ -145,7 +145,7 @@ TEST(TcpTransport, DeliversAcrossRealSockets) {
   m.kind = proto::msg_kind::sn_query;
   m.from = process_id{0};
   m.op_seq = 42;
-  m.reg = 7;
+  m.entries = {{7, tag{}, {}}};
   a.send(process_id{1}, m);
   wait_for(got_b, 1);
   ASSERT_EQ(got_b.load(), 1);
@@ -209,7 +209,7 @@ TEST(TcpTransport, LargeFramesArriveWholeAndInOrder) {
   b.attach(process_id{1}, [&](const proto::message& m) {
     std::lock_guard<std::mutex> lk(mu);
     seqs.push_back(m.op_seq);
-    sizes.push_back(m.val.data.size());
+    sizes.push_back(m.entries.at(0).val.data.size());
     got += 1;
   });
   for (std::uint64_t i = 0; i < 8; ++i) {
@@ -217,8 +217,9 @@ TEST(TcpTransport, LargeFramesArriveWholeAndInOrder) {
     m.kind = proto::msg_kind::write;
     m.from = process_id{0};
     m.op_seq = i;
-    m.val.data.assign(i % 2 == 0 ? (200u * 1024u) : 3u,
-                      static_cast<std::uint8_t>(i));
+    m.entries.resize(1);
+    m.entries[0].val.data.assign(i % 2 == 0 ? (200u * 1024u) : 3u,
+                                 static_cast<std::uint8_t>(i));
     a.send(process_id{1}, m);
   }
   wait_for(got, 8, 10000);
@@ -474,7 +475,9 @@ TEST(TcpTransport, ThreadAndHandlerSendersEachKeepTheirOrder) {
     m.from = process_id{0};
     m.round = sender;
     m.op_seq = seq;
-    m.val.data.assign(seq % 5 == 0 ? 200u * 1024u : 16u, static_cast<std::uint8_t>(seq));
+    m.entries.resize(1);
+    m.entries[0].val.data.assign(seq % 5 == 0 ? 200u * 1024u : 16u,
+                                 static_cast<std::uint8_t>(seq));
     return m;
   };
   std::mutex mu;

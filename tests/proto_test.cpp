@@ -16,6 +16,16 @@ namespace {
 constexpr std::uint32_t kN = 5;
 constexpr std::uint32_t kMajority = 3;
 
+/// A single-key operation's argument list: the default register (with the
+/// write's value).
+std::vector<batch_entry> one(value v = {}) { return {{default_register, tag{}, std::move(v)}}; }
+
+/// The one entry of a single-key message.
+const batch_entry& only(const message& m) {
+  EXPECT_EQ(m.entries.size(), 1u);
+  return m.entries.at(0);
+}
+
 message sn_ack_from(std::uint32_t p, const message& query, std::int64_t sn) {
   message m;
   m.kind = msg_kind::sn_ack;
@@ -23,11 +33,12 @@ message sn_ack_from(std::uint32_t p, const message& query, std::int64_t sn) {
   m.op_seq = query.op_seq;
   m.round = query.round;
   m.epoch = query.epoch;
-  m.ts = tag{sn, 0, no_process};
+  m.entries = {{default_register, tag{sn, 0, no_process}, {}}};
   m.log_depth = query.log_depth;
   return m;
 }
 
+/// An update ack covering every register of `w`.
 message write_ack_from(std::uint32_t p, const message& w, std::uint32_t depth) {
   message m;
   m.kind = msg_kind::write_ack;
@@ -36,6 +47,7 @@ message write_ack_from(std::uint32_t p, const message& w, std::uint32_t depth) {
   m.round = w.round;
   m.epoch = w.epoch;
   m.log_depth = depth;
+  for (const batch_entry& e : w.entries) m.entries.push_back({e.reg, tag{}, value{}});
   return m;
 }
 
@@ -46,9 +58,21 @@ message read_ack_from(std::uint32_t p, const message& q, tag t, value v) {
   m.op_seq = q.op_seq;
   m.round = q.round;
   m.epoch = q.epoch;
-  m.ts = t;
-  m.val = std::move(v);
+  m.entries = {{default_register, t, std::move(v)}};
   m.log_depth = q.log_depth;
+  return m;
+}
+
+/// A round-2 write from `from` for the default register.
+message write_msg(std::uint32_t from, std::uint64_t op_seq, std::uint64_t epoch, tag t,
+                  value v) {
+  message m;
+  m.kind = msg_kind::write;
+  m.from = process_id{from};
+  m.op_seq = op_seq;
+  m.round = 2;
+  m.epoch = epoch;
+  m.entries = {{default_register, t, std::move(v)}};
   return m;
 }
 
@@ -61,26 +85,155 @@ TEST(Message, EncodeDecodeRoundTrip) {
   m.op_seq = 42;
   m.round = 2;
   m.epoch = 0xabcdef;
-  m.ts = tag{7, 1, process_id{3}};
-  m.val = value_of_u32(99);
+  m.entries = {{9, tag{7, 1, process_id{3}}, value_of_u32(99)}};
   m.log_depth = 2;
   const message d = decode_message(encode(m));
   EXPECT_EQ(d, m);
+  // Several entries are listed after the count, in order.
+  m.entries.push_back({4, tag{2, 0, process_id{1}}, value_of_u32(7)});
+  EXPECT_EQ(decode_message(encode(m)), m);
 }
 
 TEST(Message, WireSizeMatchesEncodedSize) {
   message m;
   m.kind = msg_kind::read_ack;
   m.from = process_id{1};
-  m.val = value_of_size(1000);
+  m.entries = {{3, tag{}, value_of_size(1000)}};
   EXPECT_EQ(wire_size(m), encode(m).size());
-  m.val = initial_value();
+  m.entries[0].val = initial_value();
   EXPECT_EQ(wire_size(m), encode(m).size());
+  m.entries.push_back({4, tag{}, value_of_size(10)});
+  EXPECT_EQ(wire_size(m), encode(m).size());
+}
+
+TEST(Message, OneEntryTravelsInTheHeader) {
+  // The one entry of a single-key message costs no entry framing: 28 bytes
+  // less than the same entry listed after the count.
+  message m;
+  m.kind = msg_kind::write;
+  m.entries = {{5, tag{1, 0, process_id{0}}, value_of_u32(1)}};
+  EXPECT_EQ(wire_size(m), 65u + 4u);
+  message two = m;
+  two.entries.push_back({6, tag{1, 0, process_id{0}}, value_of_u32(2)});
+  EXPECT_EQ(wire_size(two), 65u + 2 * (28u + 4u));
 }
 
 TEST(Message, DecodeRejectsGarbage) {
   bytes junk{0xff, 0x00, 0x01};
   EXPECT_THROW((void)decode_message(junk), codec_error);
+}
+
+// ---------- Wire pins: the single-key layout ----------
+//
+// The exact bytes of every message kind for one register (7) and a 4-byte
+// value. A single-key message keeps the register, tag and value in the
+// header with an entry count of 0, so its size — and every byte the
+// simulator charges for single-key traffic — never moves. Requests are
+// pinned as decode/encode round trips; each reply is what a replica core
+// emits for the decoded request once the logs it caused are durable.
+
+std::string to_hex(const bytes& b) {
+  static constexpr char digits[] = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t c : b) {
+    s += digits[c >> 4];
+    s += digits[c & 15];
+  }
+  return s;
+}
+
+bytes from_hex(const std::string& s) {
+  bytes b;
+  for (std::size_t i = 0; i + 1 < s.size(); i += 2) {
+    b.push_back(static_cast<std::uint8_t>(std::stoul(s.substr(i, 2), nullptr, 16)));
+  }
+  return b;
+}
+
+TEST(WirePins, SingleKeyMessagesKeepTheirBytes) {
+  struct exchange {
+    const char* what;
+    std::string request;
+    std::string reply;
+  };
+  // Replica p1 of three (persistent, leases on) serves, in order: p0's SN
+  // and W([1,0,p0], 0xa1b2c3d4), p2's R and its stale write-back, p2's lease
+  // grant, then p0's W([2,0,p0], 0x0badcafe), whose ack carries the note
+  // that p2 holds a lease on register 7.
+  const std::vector<exchange> exchanges = {
+      {"SN",
+       "0100000000010000000000000001000000887766554433221100000000000000000000000000"
+       "000000ffffffff0000000000000000070000000000000000000000",
+       "0201000000010000000000000001000000887766554433221100000000000000000000000000"
+       "000000ffffffff0000000000000000070000000000000000000000"},
+      {"W",
+       "0300000000010000000000000002000000887766554433221101000000000000000000000000"
+       "0000000000000004000000d4c3b2a101000000070000000000000000000000",
+       "0401000000010000000000000002000000887766554433221100000000000000000000000000"
+       "000000ffffffff0000000002000000070000000000000000000000"},
+      {"R",
+       "0502000000040000000000000001000000990000000000000000000000000000000000000000"
+       "000000ffffffff0000000000000000070000000000000000000000",
+       "0601000000040000000000000001000000990000000000000001000000000000000000000000"
+       "0000000000000004000000d4c3b2a100000000070000000000000000000000"},
+      {"WB",
+       "0702000000040000000000000002000000990000000000000001000000000000000000000000"
+       "0000000000000004000000d4c3b2a100000000070000000000000000000000",
+       "0401000000040000000000000002000000990000000000000000000000000000000000000000"
+       "000000ffffffff0000000000000000070000000000000000000000"},
+      {"L",
+       "0902000000050000000000000001000000990000000000000000000000000000000000000000"
+       "000000ffffffff0000000000000000070000000000000000000000",
+       "0801000000050000000000000001000000990000000000000001000000000000000000000000"
+       "0000000000000004000000d4c3b2a101000000070000000000000000000000"},
+      {"W with lease note",
+       "0300000000020000000000000002000000887766554433221102000000000000000000000000"
+       "0000000000000004000000fecaad0b01000000070000000000000000000000",
+       "0401000000020000000000000002000000887766554433221100000000000000000000000000"
+       "000000ffffffff0000000002000000070000000000000001000000070000000400000000000000"},
+  };
+  storage::memory_store store;
+  protocol_policy pol = persistent_policy();
+  pol.read_leases = true;
+  quorum_core replica(pol, process_id{1}, 3, store, 5);
+  {
+    outputs out;
+    replica.start(out);
+  }
+  for (const exchange& x : exchanges) {
+    const message req = decode_message(from_hex(x.request));
+    EXPECT_EQ(to_hex(encode(req)), x.request) << x.what;
+    EXPECT_EQ(wire_size(req) * 2, x.request.size()) << x.what;
+    outputs out;
+    replica.on_message(req, out);
+    std::vector<std::uint64_t> tokens;
+    for (const log_request& lr : out.logs) tokens.push_back(lr.token);
+    outputs done;
+    for (const std::uint64_t t : tokens) replica.on_log_done(t, done);
+    const recycling_vector<send_request>& sends = tokens.empty() ? out.sends : done.sends;
+    ASSERT_EQ(sends.size(), 1u) << x.what;
+    EXPECT_EQ(to_hex(encode(sends[0].msg)), x.reply) << x.what;
+    EXPECT_EQ(wire_size(sends[0].msg) * 2, x.reply.size()) << x.what;
+  }
+
+  // The writer side: a recovering writer's finish-write round for its one
+  // pre-logged register.
+  storage::memory_store wstore;
+  quorum_core writer(persistent_policy(), process_id{0}, 3, wstore, 9);
+  {
+    outputs out;
+    writer.start(out);
+  }
+  wstore.erase(writing_key);
+  wstore.store(writing_key_of(7), encode(tagged_value_record{tag{3, 0, process_id{0}},
+                                                             value_of_u32(0xa1b2c3d4)}));
+  writer.crash();
+  outputs out;
+  writer.recover(0x4242, out);
+  ASSERT_EQ(out.broadcasts.size(), 1u);
+  EXPECT_EQ(to_hex(encode(out.broadcasts[0].msg)),
+            "0300000000010000000000000002000000424200000000000003000000000000000000000000"
+            "0000000000000004000000d4c3b2a100000000070000000000000000000000");
 }
 
 TEST(Records, TaggedValueRoundTrip) {
@@ -146,7 +299,7 @@ class CrashStopCore : public ::testing::Test {
 
 TEST_F(CrashStopCore, WriteRunsTwoRoundsNoLogs) {
   outputs out;
-  core_->invoke_write(value_of_u32(10), out);
+  core_->invoke_write(one(value_of_u32(10)), out);
   ASSERT_EQ(out.broadcasts.size(), 1u);
   EXPECT_EQ(out.broadcasts[0].msg.kind, msg_kind::sn_query);
   EXPECT_TRUE(out.logs.empty());
@@ -162,8 +315,8 @@ TEST_F(CrashStopCore, WriteRunsTwoRoundsNoLogs) {
   ASSERT_EQ(out.broadcasts.size(), 1u);  // round 2 starts on the 3rd ack
   const message w = out.broadcasts[0].msg;
   EXPECT_EQ(w.kind, msg_kind::write);
-  EXPECT_EQ(w.ts, (tag{5, 0, process_id{0}}));  // max + 1, tie-break pid
-  EXPECT_EQ(w.val, value_of_u32(10));
+  EXPECT_EQ(only(w).ts, (tag{5, 0, process_id{0}}));  // max + 1, tie-break pid
+  EXPECT_EQ(only(w).val, value_of_u32(10));
   EXPECT_TRUE(out.logs.empty());
 
   out.clear();
@@ -180,7 +333,7 @@ TEST_F(CrashStopCore, WriteRunsTwoRoundsNoLogs) {
 
 TEST_F(CrashStopCore, DuplicateAcksDoNotCount) {
   outputs out;
-  core_->invoke_write(value_of_u32(10), out);
+  core_->invoke_write(one(value_of_u32(10)), out);
   const message query = out.broadcasts[0].msg;
   out.clear();
   core_->on_message(sn_ack_from(1, query, 0), out);
@@ -194,7 +347,7 @@ TEST_F(CrashStopCore, DuplicateAcksDoNotCount) {
 
 TEST_F(CrashStopCore, StaleAcksFromOldPhaseIgnored) {
   outputs out;
-  core_->invoke_write(value_of_u32(10), out);
+  core_->invoke_write(one(value_of_u32(10)), out);
   const message query = out.broadcasts[0].msg;
   out.clear();
   for (std::uint32_t p = 1; p <= kMajority; ++p) {
@@ -221,40 +374,31 @@ TEST_F(CrashStopCore, StaleAcksFromOldPhaseIgnored) {
 
 TEST_F(CrashStopCore, ServerAdoptsOnlyNewerTags) {
   outputs out;
-  message w;
-  w.kind = msg_kind::write;
-  w.from = process_id{2};
-  w.op_seq = 9;
-  w.round = 2;
-  w.epoch = 55;
-  w.ts = tag{3, 0, process_id{2}};
-  w.val = value_of_u32(30);
+  const message w = write_msg(2, 9, 55, tag{3, 0, process_id{2}}, value_of_u32(30));
   core_->on_message(w, out);
-  EXPECT_EQ(core_->replica_tag(), w.ts);
-  EXPECT_EQ(core_->replica_value(), w.val);
+  EXPECT_EQ(core_->replica_tag(), only(w).ts);
+  EXPECT_EQ(core_->replica_value(), only(w).val);
   ASSERT_EQ(out.sends.size(), 1u);
   EXPECT_EQ(out.sends[0].msg.kind, msg_kind::write_ack);
   EXPECT_EQ(out.sends[0].to, process_id{2});
 
   // An older write arrives late: acked but not adopted.
   out.clear();
-  message old = w;
-  old.ts = tag{2, 0, process_id{4}};
-  old.val = value_of_u32(20);
+  const message old = write_msg(2, 9, 55, tag{2, 0, process_id{4}}, value_of_u32(20));
   core_->on_message(old, out);
-  EXPECT_EQ(core_->replica_tag(), w.ts);
+  EXPECT_EQ(core_->replica_tag(), only(w).ts);
   ASSERT_EQ(out.sends.size(), 1u);
 
   // Equal tag (retransmission): ack, no change.
   out.clear();
   core_->on_message(w, out);
-  EXPECT_EQ(core_->replica_value(), w.val);
+  EXPECT_EQ(core_->replica_value(), only(w).val);
   EXPECT_EQ(out.sends.size(), 1u);
 }
 
 TEST_F(CrashStopCore, ReadQueriesThenWritesBack) {
   outputs out;
-  core_->invoke_read(out);
+  core_->invoke_read(one(), out);
   const message q = out.broadcasts[0].msg;
   EXPECT_EQ(q.kind, msg_kind::read_query);
   out.clear();
@@ -264,15 +408,15 @@ TEST_F(CrashStopCore, ReadQueriesThenWritesBack) {
   ASSERT_EQ(out.broadcasts.size(), 1u);
   const message wb = out.broadcasts[0].msg;
   EXPECT_EQ(wb.kind, msg_kind::writeback);
-  EXPECT_EQ(wb.ts, (tag{5, 0, process_id{2}}));  // freshest of the majority
-  EXPECT_EQ(wb.val, value_of_u32(52));
+  EXPECT_EQ(only(wb).ts, (tag{5, 0, process_id{2}}));  // freshest of the majority
+  EXPECT_EQ(only(wb).val, value_of_u32(52));
   out.clear();
   core_->on_message(write_ack_from(1, wb, 0), out);
   core_->on_message(write_ack_from(2, wb, 0), out);
   core_->on_message(write_ack_from(3, wb, 0), out);
   ASSERT_TRUE(out.completion.has_value());
   EXPECT_TRUE(out.completion->is_read);
-  EXPECT_EQ(out.completion->result, value_of_u32(52));
+  EXPECT_EQ(out.completion->entries.at(0).val, value_of_u32(52));
   EXPECT_EQ(out.completion->round_trips, 2u);
 }
 
@@ -284,14 +428,14 @@ TEST_F(CrashStopCore, RecoverForbidden) {
 
 TEST_F(CrashStopCore, InvokeWhileBusyForbidden) {
   outputs out;
-  core_->invoke_write(value_of_u32(1), out);
-  EXPECT_THROW(core_->invoke_read(out), precondition_error);
-  EXPECT_THROW(core_->invoke_write(value_of_u32(2), out), precondition_error);
+  core_->invoke_write(one(value_of_u32(1)), out);
+  EXPECT_THROW(core_->invoke_read(one(), out), precondition_error);
+  EXPECT_THROW(core_->invoke_write(one(value_of_u32(2)), out), precondition_error);
 }
 
 TEST_F(CrashStopCore, RetransmitTargetsSilentProcesses) {
   outputs out;
-  core_->invoke_write(value_of_u32(1), out);
+  core_->invoke_write(one(value_of_u32(1)), out);
   const message query = out.broadcasts[0].msg;
   ASSERT_EQ(out.timers.size(), 1u);
   const auto token = out.timers[0].token;
@@ -322,7 +466,7 @@ class PersistentCore : public ::testing::Test {
   /// Drives a write up to the point where the prelog was requested.
   log_request start_write_until_prelog(value v) {
     outputs out;
-    core_->invoke_write(std::move(v), out);
+    core_->invoke_write(one(std::move(v)), out);
     const message query = out.broadcasts[0].msg;
     out.clear();
     for (std::uint32_t p = 1; p <= kMajority; ++p) {
@@ -375,18 +519,11 @@ TEST_F(PersistentCore, WriteUsesTwoCausalLogs) {
 
 TEST_F(PersistentCore, ServerLogsBeforeAcking) {
   outputs out;
-  message w;
-  w.kind = msg_kind::write;
-  w.from = process_id{2};
-  w.op_seq = 4;
-  w.round = 2;
-  w.epoch = 9;
-  w.ts = tag{3, 0, process_id{2}};
-  w.val = value_of_u32(33);
+  message w = write_msg(2, 4, 9, tag{3, 0, process_id{2}}, value_of_u32(33));
   w.log_depth = 1;
   core_->on_message(w, out);
   // Volatile state updated immediately, but no ack until the log is durable.
-  EXPECT_EQ(core_->replica_tag(), w.ts);
+  EXPECT_EQ(core_->replica_tag(), only(w).ts);
   ASSERT_EQ(out.logs.size(), 1u);
   EXPECT_TRUE(out.sends.empty());
   EXPECT_EQ(out.logs[0].key, written_key);
@@ -403,23 +540,14 @@ TEST_F(PersistentCore, ServerLogsBeforeAcking) {
 
 TEST_F(PersistentCore, ServerAcksStaleWriteWithoutLogging) {
   outputs out;
-  message w;
-  w.kind = msg_kind::write;
-  w.from = process_id{2};
-  w.op_seq = 4;
-  w.round = 2;
-  w.epoch = 9;
-  w.ts = tag{3, 0, process_id{2}};
-  w.val = value_of_u32(33);
+  const message w = write_msg(2, 4, 9, tag{3, 0, process_id{2}}, value_of_u32(33));
   core_->on_message(w, out);
   outputs tmp;
   core_->on_log_done(out.logs[0].token, tmp);
 
   // Older tag: immediate ack, no log.
   outputs out2;
-  message old = w;
-  old.ts = tag{1, 0, process_id{1}};
-  old.op_seq = 5;
+  const message old = write_msg(2, 5, 9, tag{1, 0, process_id{1}}, value_of_u32(33));
   core_->on_message(old, out2);
   EXPECT_TRUE(out2.logs.empty());
   ASSERT_EQ(out2.sends.size(), 1u);
@@ -428,19 +556,12 @@ TEST_F(PersistentCore, ServerAcksStaleWriteWithoutLogging) {
 
 TEST_F(PersistentCore, CrashForgetsVolatileKeepsStable) {
   outputs out;
-  message w;
-  w.kind = msg_kind::write;
-  w.from = process_id{1};
-  w.op_seq = 2;
-  w.round = 2;
-  w.epoch = 3;
-  w.ts = tag{4, 0, process_id{1}};
-  w.val = value_of_u32(44);
+  const message w = write_msg(1, 2, 3, tag{4, 0, process_id{1}}, value_of_u32(44));
   core_->on_message(w, out);
   outputs tmp;
   core_->on_log_done(out.logs[0].token, tmp);
   // Simulate the driver's durability point.
-  store_.store(written_key, encode(tagged_value_record{w.ts, w.val}));
+  store_.store(written_key, encode(tagged_value_record{only(w).ts, only(w).val}));
 
   core_->crash();
   EXPECT_FALSE(core_->is_up());
@@ -449,8 +570,8 @@ TEST_F(PersistentCore, CrashForgetsVolatileKeepsStable) {
 
   outputs rec;
   core_->recover(99, rec);
-  EXPECT_EQ(core_->replica_tag(), w.ts);  // restored from (written)
-  EXPECT_EQ(core_->replica_value(), w.val);
+  EXPECT_EQ(core_->replica_tag(), only(w).ts);  // restored from (written)
+  EXPECT_EQ(core_->replica_value(), only(w).val);
 }
 
 TEST_F(PersistentCore, RecoveryFinishesPendingWrite) {
@@ -468,8 +589,8 @@ TEST_F(PersistentCore, RecoveryFinishesPendingWrite) {
   ASSERT_EQ(rec.broadcasts.size(), 1u);
   const message w = rec.broadcasts[0].msg;
   EXPECT_EQ(w.kind, msg_kind::write);
-  EXPECT_EQ(w.ts, (tag{1, 0, process_id{0}}));
-  EXPECT_EQ(w.val, value_of_u32(123));
+  EXPECT_EQ(only(w).ts, (tag{1, 0, process_id{0}}));
+  EXPECT_EQ(only(w).val, value_of_u32(123));
 
   outputs done;
   core_->on_message(write_ack_from(1, w, 1), done);
@@ -487,7 +608,7 @@ TEST_F(PersistentCore, RecoveryWithNoPendingWriteStillRunsHarmlessRound) {
   ASSERT_EQ(rec.broadcasts.size(), 1u);
   // "Even if there are no previously unfinished writes, writing an old value
   // with an old timestamp will not replace any newer values."
-  EXPECT_EQ(rec.broadcasts[0].msg.ts, initial_tag);
+  EXPECT_EQ(only(rec.broadcasts[0].msg).ts, initial_tag);
 }
 
 // ---------- Transient emulation (Fig. 5) ----------
@@ -512,7 +633,7 @@ TEST_F(TransientCore, InitializeStoresRecoveryCounter) {
 
 TEST_F(TransientCore, WriteUsesOneCausalLogAndNoPrelog) {
   outputs out;
-  core_->invoke_write(value_of_u32(5), out);
+  core_->invoke_write(one(value_of_u32(5)), out);
   const message query = out.broadcasts[0].msg;
   out.clear();
   for (std::uint32_t p = 1; p <= kMajority; ++p) {
@@ -523,7 +644,7 @@ TEST_F(TransientCore, WriteUsesOneCausalLogAndNoPrelog) {
   ASSERT_EQ(out.broadcasts.size(), 1u);
   const message w = out.broadcasts[0].msg;
   EXPECT_EQ(w.log_depth, 0u);
-  EXPECT_EQ(w.ts, (tag{1, 0, process_id{0}}));  // sn = max + rec(0) + 1
+  EXPECT_EQ(only(w).ts, (tag{1, 0, process_id{0}}));  // sn = max + rec(0) + 1
 
   out.clear();
   core_->on_message(write_ack_from(1, w, 1), out);
@@ -564,7 +685,7 @@ TEST_F(TransientCore, SequenceNumberBumpsByRecPlusOne) {
   EXPECT_EQ(core_->recoveries(), 2);
 
   outputs out;
-  core_->invoke_write(value_of_u32(9), out);
+  core_->invoke_write(one(value_of_u32(9)), out);
   const message query = out.broadcasts[0].msg;
   out.clear();
   core_->on_message(sn_ack_from(1, query, 4), out);
@@ -572,7 +693,7 @@ TEST_F(TransientCore, SequenceNumberBumpsByRecPlusOne) {
   core_->on_message(sn_ack_from(3, query, 0), out);
   ASSERT_EQ(out.broadcasts.size(), 1u);
   // sn = 4 + 2 + 1; rec rides in the tag as tie-break (see timestamp.h).
-  EXPECT_EQ(out.broadcasts[0].msg.ts, (tag{7, 2, process_id{0}}));
+  EXPECT_EQ(only(out.broadcasts[0].msg).ts, (tag{7, 2, process_id{0}}));
 }
 
 TEST_F(TransientCore, CounterSurvivesViaStableStorage) {
@@ -596,27 +717,20 @@ TEST(WeakRegisters, AbdSwmrWriteSkipsQueryRound) {
   quorum_core core(abd_swmr_policy(), process_id{0}, kN, st, 7);
   outputs out;
   core.start(out);
-  core.invoke_write(value_of_u32(5), out);
+  core.invoke_write(one(value_of_u32(5)), out);
   ASSERT_EQ(out.broadcasts.size(), 1u);
   EXPECT_EQ(out.broadcasts[0].msg.kind, msg_kind::write);  // 1 round-trip
-  EXPECT_EQ(out.broadcasts[0].msg.ts, (tag{1, 0, process_id{0}}));
+  EXPECT_EQ(only(out.broadcasts[0].msg).ts, (tag{1, 0, process_id{0}}));
+  const message w1 = out.broadcasts[0].msg;
   out.clear();
-  message w;  // second write bumps the local counter
   for (std::uint32_t p = 1; p <= kMajority; ++p) {
-    message a;
-    a.kind = msg_kind::write_ack;
-    a.from = process_id{p};
-    a.op_seq = core.current_op_seq();
-    a.round = 2;
-    a.epoch = core.current_epoch();
-    core.on_message(a, out);
+    core.on_message(write_ack_from(p, w1, 0), out);
   }
   ASSERT_TRUE(out.completion.has_value());
   EXPECT_EQ(out.completion->round_trips, 1u);
   out.clear();
-  core.invoke_write(value_of_u32(6), out);
-  w = out.broadcasts[0].msg;
-  EXPECT_EQ(w.ts, (tag{2, 0, process_id{0}}));
+  core.invoke_write(one(value_of_u32(6)), out);  // bumps the local counter
+  EXPECT_EQ(only(out.broadcasts[0].msg).ts, (tag{2, 0, process_id{0}}));
 }
 
 TEST(WeakRegisters, OnlyProcessZeroMayWriteSwmr) {
@@ -624,8 +738,8 @@ TEST(WeakRegisters, OnlyProcessZeroMayWriteSwmr) {
   quorum_core core(abd_swmr_policy(), process_id{1}, kN, st, 7);
   outputs out;
   core.start(out);
-  EXPECT_THROW(core.invoke_write(value_of_u32(1), out), precondition_error);
-  EXPECT_NO_THROW(core.invoke_read(out));  // readers are fine
+  EXPECT_THROW(core.invoke_write(one(value_of_u32(1)), out), precondition_error);
+  EXPECT_NO_THROW(core.invoke_read(one(), out));  // readers are fine
 }
 
 TEST(WeakRegisters, RegularReadSkipsWriteBack) {
@@ -633,14 +747,14 @@ TEST(WeakRegisters, RegularReadSkipsWriteBack) {
   quorum_core core(regular_swmr_policy(), process_id{1}, kN, st, 7);
   outputs out;
   core.start(out);
-  core.invoke_read(out);
+  core.invoke_read(one(), out);
   const message q = out.broadcasts[0].msg;
   out.clear();
   core.on_message(read_ack_from(0, q, tag{3, 0, process_id{0}}, value_of_u32(30)), out);
   core.on_message(read_ack_from(2, q, tag{2, 0, process_id{0}}, value_of_u32(20)), out);
   core.on_message(read_ack_from(3, q, tag{1, 0, process_id{0}}, value_of_u32(10)), out);
   ASSERT_TRUE(out.completion.has_value());  // no second round
-  EXPECT_EQ(out.completion->result, value_of_u32(30));
+  EXPECT_EQ(out.completion->entries.at(0).val, value_of_u32(30));
   EXPECT_EQ(out.completion->round_trips, 1u);
   EXPECT_TRUE(out.broadcasts.empty());
 }
@@ -650,14 +764,14 @@ TEST(WeakRegisters, SafeReadReturnsFirstReply) {
   quorum_core core(safe_swmr_policy(), process_id{1}, kN, st, 7);
   outputs out;
   core.start(out);
-  core.invoke_read(out);
+  core.invoke_read(one(), out);
   const message q = out.broadcasts[0].msg;
   out.clear();
   core.on_message(read_ack_from(3, q, tag{1, 0, process_id{0}}, value_of_u32(10)), out);
   core.on_message(read_ack_from(0, q, tag{3, 0, process_id{0}}, value_of_u32(30)), out);
   core.on_message(read_ack_from(2, q, tag{2, 0, process_id{0}}, value_of_u32(20)), out);
   ASSERT_TRUE(out.completion.has_value());
-  EXPECT_EQ(out.completion->result, value_of_u32(10));  // first, not freshest
+  EXPECT_EQ(out.completion->entries.at(0).val, value_of_u32(10));  // first, not freshest
 }
 
 // ---------- Ablation algorithms (section I-B) ----------
@@ -667,7 +781,7 @@ TEST(Ablation, AlgorithmAUsesTwoCausalLogsAndWaitsForAll) {
   quorum_core core(ablation_a_policy(), process_id{0}, kN, st, 7);
   outputs out;
   core.start(out);
-  core.invoke_write(value_of_u32(1), out);
+  core.invoke_write(one(value_of_u32(1)), out);
   // Writer logs first (no query round)...
   ASSERT_EQ(out.logs.size(), 1u);
   EXPECT_TRUE(out.broadcasts.empty());
@@ -679,24 +793,10 @@ TEST(Ablation, AlgorithmAUsesTwoCausalLogsAndWaitsForAll) {
   // ...and needs all n acks, not a majority.
   outputs out3;
   for (std::uint32_t p = 0; p < kN - 1; ++p) {
-    message a;
-    a.kind = msg_kind::write_ack;
-    a.from = process_id{p};
-    a.op_seq = w.op_seq;
-    a.round = w.round;
-    a.epoch = w.epoch;
-    a.log_depth = 2;
-    core.on_message(a, out3);
+    core.on_message(write_ack_from(p, w, 2), out3);
     EXPECT_FALSE(out3.completion.has_value());
   }
-  message last;
-  last.kind = msg_kind::write_ack;
-  last.from = process_id{kN - 1};
-  last.op_seq = w.op_seq;
-  last.round = w.round;
-  last.epoch = w.epoch;
-  last.log_depth = 2;
-  core.on_message(last, out3);
+  core.on_message(write_ack_from(kN - 1, w, 2), out3);
   ASSERT_TRUE(out3.completion.has_value());
   EXPECT_EQ(out3.completion->causal_logs, 2u);
 }
@@ -706,7 +806,7 @@ TEST(Ablation, AlgorithmAPrimeUsesOneCausalLog) {
   quorum_core core(ablation_a_prime_policy(), process_id{0}, kN, st, 7);
   outputs out;
   core.start(out);
-  core.invoke_write(value_of_u32(1), out);
+  core.invoke_write(one(value_of_u32(1)), out);
   // No prelog: the broadcast goes straight out at depth 0.
   EXPECT_TRUE(out.logs.empty());
   ASSERT_EQ(out.broadcasts.size(), 1u);
@@ -714,14 +814,7 @@ TEST(Ablation, AlgorithmAPrimeUsesOneCausalLog) {
   EXPECT_EQ(w.log_depth, 0u);
   outputs out3;
   for (std::uint32_t p = 0; p < kN; ++p) {
-    message a;
-    a.kind = msg_kind::write_ack;
-    a.from = process_id{p};
-    a.op_seq = w.op_seq;
-    a.round = w.round;
-    a.epoch = w.epoch;
-    a.log_depth = 1;  // every listener logs in parallel
-    core.on_message(a, out3);
+    core.on_message(write_ack_from(p, w, 1), out3);  // every listener logs in parallel
   }
   ASSERT_TRUE(out3.completion.has_value());
   EXPECT_EQ(out3.completion->causal_logs, 1u);
@@ -738,7 +831,7 @@ message batched_write_ack(std::uint32_t p, const message& w,
   m.round = w.round;
   m.epoch = w.epoch;
   m.log_depth = w.log_depth + 1;
-  for (const register_id reg : covered) m.batch.push_back({reg, tag{}, value{}});
+  for (const register_id reg : covered) m.entries.push_back({reg, tag{}, value{}});
   return m;
 }
 
@@ -753,12 +846,12 @@ TEST(BatchRetransmission, TrimmedAndFullRepeatsMatchTheSettlementRules) {
       core.start(out);
     }
     outputs out;
-    core.invoke_write_batch({{10, value_of_u32(1)}, {20, value_of_u32(2)}}, out);
+    core.invoke_write({{10, {}, value_of_u32(1)}, {20, {}, value_of_u32(2)}}, out);
     const message query = out.broadcasts[0].msg;
     outputs out2;
     for (std::uint32_t p = 1; p <= kMajority; ++p) {
       message a = sn_ack_from(p, query, 0);
-      a.batch = {{10, tag{}, value{}}, {20, tag{}, value{}}};
+      a.entries = {{10, tag{}, value{}}, {20, tag{}, value{}}};
       core.on_message(a, out2);
     }
     std::vector<std::uint64_t> tokens;
@@ -784,13 +877,14 @@ TEST(BatchRetransmission, TrimmedAndFullRepeatsMatchTheSettlementRules) {
       // register is settled yet (10 has 2 of 3 votes, 20 has 1).
       ASSERT_EQ(rt.sends.size(), 4u);
       for (const send_request& s : rt.sends) {
-        ASSERT_TRUE(s.msg.is_batch());
         if (s.to == process_id{2}) {
-          ASSERT_EQ(s.msg.batch.size(), 1u);
-          EXPECT_EQ(s.msg.batch[0].reg, 20u);
-          EXPECT_EQ(s.msg.batch[0].val, value_of_u32(2));  // payload rides along
+          ASSERT_EQ(s.msg.entries.size(), 1u);
+          EXPECT_EQ(s.msg.entries[0].reg, 20u);
+          EXPECT_EQ(s.msg.entries[0].val, value_of_u32(2));  // payload rides along
+          // One entry travels in the header: no entry framing on the wire.
+          EXPECT_EQ(wire_size(s.msg), 65u + 4u);
         } else {
-          EXPECT_EQ(s.msg.batch.size(), 2u);
+          EXPECT_EQ(s.msg.entries.size(), 2u);
         }
       }
     } else {
@@ -798,7 +892,7 @@ TEST(BatchRetransmission, TrimmedAndFullRepeatsMatchTheSettlementRules) {
       // (p2 answered partially, so it still counts as silent).
       ASSERT_EQ(rt.sends.size(), 4u);
       for (const send_request& s : rt.sends) {
-        EXPECT_EQ(s.msg.batch.size(), 2u);
+        EXPECT_EQ(s.msg.entries.size(), 2u);
       }
     }
 
@@ -810,10 +904,91 @@ TEST(BatchRetransmission, TrimmedAndFullRepeatsMatchTheSettlementRules) {
     EXPECT_FALSE(fin.completion.has_value());
     core.on_message(batched_write_ack(4, w, {20}), fin);
     ASSERT_TRUE(fin.completion.has_value());
-    ASSERT_EQ(fin.completion->batch.size(), 2u);
-    EXPECT_EQ(fin.completion->batch[0].reg, 10u);
-    EXPECT_EQ(fin.completion->batch[1].reg, 20u);
+    ASSERT_EQ(fin.completion->entries.size(), 2u);
+    EXPECT_EQ(fin.completion->entries[0].reg, 10u);
+    EXPECT_EQ(fin.completion->entries[1].reg, 20u);
   }
+}
+
+// ---------- One operation shape: where the single-key rule wins ----------
+
+/// A persistent writer p0 of kN with leases on, driven through round 1 and
+/// its pre-logs for `regs`; returns the round-2 broadcast.
+message write_until_round_two(quorum_core& core, const std::vector<batch_entry>& regs) {
+  outputs out;
+  core.start(out);
+  core.invoke_write(regs, out);
+  const message query = out.broadcasts[0].msg;
+  outputs acks;
+  for (std::uint32_t p = 1; p <= kMajority; ++p) {
+    message a = sn_ack_from(p, query, 0);
+    a.entries.clear();
+    for (const batch_entry& e : regs) a.entries.push_back({e.reg, tag{}, value{}});
+    core.on_message(a, acks);
+  }
+  std::vector<std::uint64_t> tokens;
+  for (const log_request& lr : acks.logs) tokens.push_back(lr.token);
+  outputs round2;
+  for (const std::uint64_t t : tokens) core.on_log_done(t, round2);
+  return round2.broadcasts[0].msg;
+}
+
+TEST(OneShape, DuplicateUpdateAckChangesNothing) {
+  // An ack covering no new (process, register) pair is a duplicate: it
+  // neither raises the causal-log depth nor adds its lease notes — for a
+  // multi-register update exactly as for a single-key one.
+  storage::memory_store store;
+  protocol_policy pol = persistent_policy();
+  pol.read_leases = true;
+  quorum_core core(pol, process_id{0}, kN, store, 1);
+  const message w = write_until_round_two(
+      core, {{10, {}, value_of_u32(1)}, {20, {}, value_of_u32(2)}});
+  outputs out;
+  core.on_message(write_ack_from(1, w, 2), out);
+  message dup = write_ack_from(1, w, 7);
+  dup.leases.push_back(lease_note{10, 1u << 4});  // "p4 holds a lease on 10"
+  core.on_message(dup, out);
+  core.on_message(write_ack_from(2, w, 2), out);
+  core.on_message(write_ack_from(3, w, 2), out);
+  // A majority covered both registers; the duplicate's note would have made
+  // register 10 wait for p4.
+  ASSERT_TRUE(out.completion.has_value());
+  EXPECT_EQ(out.completion->causal_logs, 2u);
+}
+
+TEST(OneShape, OneSlotOpsCountNoSplitOrTrim) {
+  storage::memory_store store;
+  quorum_core core(persistent_policy(), process_id{0}, kN, store, 1);
+  outputs out;
+  core.start(out);
+  core.invoke_write(one(value_of_u32(5)), out);
+  const message query = out.broadcasts[0].msg;
+  outputs acks;
+  for (std::uint32_t p = 1; p <= kMajority; ++p) core.on_message(sn_ack_from(p, query, 0), acks);
+  outputs round2;
+  core.on_log_done(acks.logs[0].token, round2);
+  const message w = round2.broadcasts[0].msg;
+  core.on_message(write_ack_from(1, w, 2), round2);
+  // A retransmission of a one-register update repeats the whole message to
+  // every silent process: a retransmit, never a trim.
+  outputs rt;
+  core.on_timer(round2.timers[0].token, rt);
+  EXPECT_EQ(rt.sends.size(), kN - 1);
+  for (const send_request& s : rt.sends) EXPECT_EQ(s.msg, w);
+  EXPECT_EQ(core.branches().retransmits, 1u);
+  EXPECT_EQ(core.branches().retransmit_trims, 0u);
+
+  // A replica serving a one-entry update either adopts or keeps its value:
+  // never a split.
+  storage::memory_store replica_store;
+  quorum_core replica(persistent_policy(), process_id{1}, kN, replica_store, 2);
+  outputs served;
+  replica.start(served);
+  replica.on_message(w, served);
+  replica.on_message(w, served);
+  EXPECT_EQ(replica.branches().adoptions, 1u);
+  EXPECT_EQ(replica.branches().stale_updates, 1u);
+  EXPECT_EQ(replica.branches().adopt_splits, 0u);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 // concurrent reporters, and integration with the checkers.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
+#include "common/error.h"
 #include "history/atomicity.h"
 #include "history/recorder.h"
 #include "history/wellformed.h"
@@ -33,12 +35,16 @@ TEST(Recorder, CapturesAllEventKinds) {
   EXPECT_TRUE(check_persistent_atomicity(h).ok);
 }
 
-TEST(Recorder, ClampsRacingTimestamps) {
+TEST(Recorder, TimeGoingBackwardsThrows) {
+  // A reported time is never rewritten: an event earlier than the last one
+  // is a driver bug, not something to paper over.
   recorder rec;
   rec.invoke_write(process_id{0}, value_of_u32(1), 100);
-  rec.reply_write(process_id{0}, 90);  // reporter raced: earlier wall time
+  EXPECT_THROW(rec.reply_write(process_id{0}, 90), driver_error);
+  rec.reply_write(process_id{0}, 100);  // equal times are fine
   const auto h = rec.events();
-  EXPECT_GE(h[1].at, h[0].at);  // order of arrival wins; time is clamped
+  ASSERT_EQ(h.size(), 2u);
+  EXPECT_EQ(h[1].at, 100);
   EXPECT_TRUE(check_well_formed(h).ok);
 }
 
@@ -53,15 +59,20 @@ TEST(Recorder, SizeAndClear) {
   EXPECT_TRUE(rec.events().empty());
 }
 
+/// A clock that ticks once per reading.
+std::atomic<time_ns> g_ticks{0};
+time_ns tick() { return g_ticks.fetch_add(1, std::memory_order_relaxed); }
+
 TEST(Recorder, ConcurrentReportersProduceWellFormedPerProcessStreams) {
+  // Racing reporters pass a clock, which the recorder reads under its lock:
+  // every event appends with the time it really had, in time order.
   recorder rec;
   std::vector<std::thread> threads;
   for (std::uint32_t p = 0; p < 8; ++p) {
     threads.emplace_back([&rec, p] {
       for (std::uint32_t i = 0; i < 200; ++i) {
-        const time_ns t = static_cast<time_ns>(i) * 10;
-        rec.invoke_write(process_id{p}, value_of_u32(p * 1000 + i), t);
-        rec.reply_write(process_id{p}, t + 5);
+        rec.invoke_write(process_id{p}, default_register, value_of_u32(p * 1000 + i), tick);
+        rec.reply_write(process_id{p}, default_register, tick);
       }
     });
   }
@@ -69,8 +80,9 @@ TEST(Recorder, ConcurrentReportersProduceWellFormedPerProcessStreams) {
   const auto h = rec.events();
   EXPECT_EQ(h.size(), 8u * 200u * 2u);
   // Each process's local stream alternates invoke/reply; global timestamps
-  // are monotone.
+  // strictly increase, since each event read the clock once.
   EXPECT_TRUE(check_well_formed(h).ok);
+  for (std::size_t i = 1; i < h.size(); ++i) EXPECT_LT(h[i - 1].at, h[i].at);
 }
 
 }  // namespace

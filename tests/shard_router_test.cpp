@@ -216,8 +216,8 @@ TEST(ShardRouter, SingleShardRouterMatchesClusterSemantics) {
   ASSERT_TRUE(r.run_until_idle());
   const auto& res = r.result(h);
   EXPECT_TRUE(res.completed);
-  EXPECT_EQ(res.reg, 7u);
-  EXPECT_EQ(value_as_u32(res.v), 42u);
+  EXPECT_EQ(res.entries.at(0).reg, 7u);
+  EXPECT_EQ(value_as_u32(res.entries.at(0).val), 42u);
   EXPECT_GT(res.completed_at, res.invoked_at);
 }
 
@@ -238,22 +238,22 @@ TEST(ShardRouter, CrossShardBatchSplitsAndMergesInOriginalOrder) {
   ASSERT_TRUE(r.run_until_idle());
   const auto& wres = r.result(wh);
   ASSERT_TRUE(wres.completed);
-  ASSERT_EQ(wres.batch_result.size(), ops.size());
+  ASSERT_EQ(wres.entries.size(), ops.size());
   // Results come back in the caller's original key order regardless of how
   // the split grouped them by shard.
   for (std::size_t i = 0; i < ops.size(); ++i) {
-    EXPECT_EQ(wres.batch_result[i].reg, ops[i].reg);
-    EXPECT_EQ(wres.batch_result[i].val, ops[i].val);
+    EXPECT_EQ(wres.entries[i].reg, ops[i].reg);
+    EXPECT_EQ(wres.entries[i].val, ops[i].val);
   }
 
   const auto rh = r.submit_read_batch(process_id{1}, regs, r.now());
   ASSERT_TRUE(r.run_until_idle());
   const auto& rres = r.result(rh);
   ASSERT_TRUE(rres.completed);
-  ASSERT_EQ(rres.batch_result.size(), regs.size());
+  ASSERT_EQ(rres.entries.size(), regs.size());
   for (std::size_t i = 0; i < regs.size(); ++i) {
-    EXPECT_EQ(rres.batch_result[i].reg, regs[i]);
-    EXPECT_EQ(rres.batch_result[i].val, ops[i].val) << "register " << regs[i];
+    EXPECT_EQ(rres.entries[i].reg, regs[i]);
+    EXPECT_EQ(rres.entries[i].val, ops[i].val) << "register " << regs[i];
   }
 
   const auto verdict = history::check_persistent_atomicity_per_key(r.events());
@@ -381,10 +381,10 @@ TEST(ShardRouter, DroppedSubOpDoesNotFreezeAnInFlightSubBatch) {
   const auto& res = r.result(h);
   EXPECT_TRUE(res.dropped);
   EXPECT_FALSE(res.completed);  // one half never ran
-  ASSERT_EQ(res.batch_result.size(), 2u);
+  ASSERT_EQ(res.entries.size(), 2u);
   // reg_b's completed half must be visible despite the earlier peek.
-  EXPECT_EQ(res.batch_result[1].reg, reg_b);
-  EXPECT_EQ(res.batch_result[1].val, value_of_u32(2));
+  EXPECT_EQ(res.entries[1].reg, reg_b);
+  EXPECT_EQ(res.entries[1].val, value_of_u32(2));
   EXPECT_GT(res.completed_at, 0);
 }
 
@@ -609,7 +609,7 @@ TEST(ShardRouterMigration, AsyncWindowReadCompletesOnlyAfterWriteback) {
   ASSERT_TRUE(r.run_until_idle());
   const auto& res = r.result(h);
   EXPECT_TRUE(res.completed);
-  EXPECT_EQ(value_as_u32(res.v), 5u);
+  EXPECT_EQ(value_as_u32(res.entries.at(0).val), 5u);
   ASSERT_TRUE(r.migration_drained());
   r.finish_add_shard();
 }

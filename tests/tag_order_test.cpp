@@ -111,7 +111,7 @@ TEST(RegularCr, SingleRoundReadsNeverLogAndStillRecover) {
   c.write(process_id{0}, value_of_u32(1));
   const auto r = c.submit_read(process_id{1}, c.now());
   ASSERT_TRUE(c.run_until_idle());
-  EXPECT_EQ(c.result(r).v, value_of_u32(1));
+  EXPECT_EQ(c.result(r).entries[0].val, value_of_u32(1));
   EXPECT_EQ(c.result(r).sample.round_trips, 1u);  // the saved round-trip
   EXPECT_EQ(c.result(r).sample.causal_logs, 0u);
 
@@ -185,8 +185,8 @@ TEST(RegularCr, NewOldInversionIsPossible) {
   ASSERT_TRUE(c.run_until_idle());
   c.network().clear_filter();
 
-  EXPECT_EQ(c.result(r1).v, value_of_u32(2));
-  EXPECT_EQ(c.result(r2).v, value_of_u32(1));  // inversion!
+  EXPECT_EQ(c.result(r1).entries[0].val, value_of_u32(2));
+  EXPECT_EQ(c.result(r2).entries[0].val, value_of_u32(1));  // inversion!
   // Atomicity is indeed violated — regularity tolerates exactly this.
   EXPECT_FALSE(history::check_transient_atomicity(c.events()).ok);
 }
