@@ -41,10 +41,9 @@ struct kv_case {
   std::uint32_t keys;
   double theta;
   std::uint32_t batch;
-  /// Lossy-link pair (batch-aware retransmission measurement): drop
-  /// probability and whether trimmed batch repeats are enabled.
+  /// Lossy-link case (batch-aware retransmission measurement): drop
+  /// probability.
   double drop = 0.0;
-  bool trim_retransmit = true;
   std::uint32_t value_bytes = 8;
   std::uint32_t n = 3;
   double read_fraction = 0.5;
@@ -81,7 +80,6 @@ struct kv_result {
 kv_result run_case(const kv_case& kc, std::uint32_t ops, std::uint64_t seed) {
   auto cfg = paper_testbed(proto::persistent_policy(), kc.n, seed);
   cfg.net.drop_probability = kc.drop;
-  cfg.policy.trim_batch_retransmit = kc.trim_retransmit;
   if (kc.drop > 0.0) cfg.policy.retransmit_delay = 3_ms;  // repeats matter
   if (kc.leases) {
     cfg.policy.read_leases = true;
@@ -188,11 +186,10 @@ int main(int argc, char** argv) {
       {"k1024_zipf_b1", 1024, 0.99, 1},
       {"k64_uniform_b8", 64, 0.0, 8},      // batched multi-key traffic
       {"k1024_zipf_b8", 1024, 0.99, 8},
-      // Batch-aware retransmission pair: identical contended batched
-      // workload (256-byte values, 10% loss, n=5), full-batch repeats vs trimmed
-      // repeats. The JSON reports the message-bytes delta between the two.
-      {"k64_b8_lossy_full", 64, 0.0, 8, /*drop=*/0.10, /*trim=*/false, 256, 5},
-      {"k64_b8_lossy_trim", 64, 0.0, 8, /*drop=*/0.10, /*trim=*/true, 256, 5},
+      // Batch-aware retransmission: a contended batched workload (256-byte
+      // values, 10% loss, n=5) whose repeats drop settled registers. The
+      // JSON reports the share of retransmitted bytes the trim saved.
+      {"k64_b8_lossy_trim", 64, 0.0, 8, /*drop=*/0.10, 256, 5},
       // Read-lease pair: identical read-heavy Zipf workload with leases off
       // vs on. Hot keys go local after the grant round, so the leased side
       // must win on both ops/sec and read wire bytes (gated below).
@@ -212,30 +209,22 @@ int main(int argc, char** argv) {
   rep.set("logical_ops_submitted", static_cast<double>(ops));
 
   bool all_atomic = true;
-  // Byte totals for the lossy retransmission pair, summed over all reps so
-  // the delta compares the same seed set on both sides.
-  std::uint64_t lossy_full_bytes = 0;
-  std::uint64_t lossy_trim_bytes = 0;
-  // Per-retransmission accounting from the trim side (self-contained: the
-  // core tracks both what the trimmed repeats cost and what full repeats
-  // would have cost on the same run).
+  // Per-retransmission accounting of the lossy case: the core tracks both
+  // what the trimmed repeats cost and what full repeats would have cost on
+  // the same run.
   std::uint64_t trim_retrans_sent = 0;
   std::uint64_t trim_retrans_full = 0;
   // The read-lease pair, for the smoke gates.
   kv_result unleased_best, leased_best;
   for (const kv_case& kc : cases) {
     kv_result best;
-    std::uint64_t case_bytes = 0;
     for (int i = 0; i < reps; ++i) {
       const auto r = run_case(kc, ops, 1 + static_cast<std::uint64_t>(i));
       if (r.keyed_ops_per_sec > best.keyed_ops_per_sec || i == 0) best = r;
       if (r.verified && !r.atomic) all_atomic = false;
-      case_bytes += r.net_bytes;
     }
     const std::string prefix = kc.name;
-    if (prefix == "k64_b8_lossy_full") lossy_full_bytes = case_bytes;
     if (prefix == "k64_b8_lossy_trim") {
-      lossy_trim_bytes = case_bytes;
       trim_retrans_sent = best.retransmit_bytes_sent;
       trim_retrans_full = best.retransmit_bytes_full;
     }
@@ -266,22 +255,11 @@ int main(int argc, char** argv) {
       rep.set(prefix + "_keys_checked", static_cast<double>(best.keys_checked));
     }
   }
-  if (lossy_full_bytes > 0) {
-    // Whole-traffic delta between the full and trimmed runs. This is NOT the
-    // headline trim number: retransmissions are a small slice of total
-    // traffic (first sends, acks, and value payloads dominate), so the
-    // whole-traffic fraction sits near 0.01 no matter how well trimming
-    // works — an accounting artifact of the denominator, not a weak
-    // optimization.
-    rep.set("lossy_trim_bytes_saved_frac",
-            1.0 - static_cast<double>(lossy_trim_bytes) /
-                      static_cast<double>(lossy_full_bytes));
-  }
   double retrans_saved_frac = 0.0;
   if (trim_retrans_full > 0) {
-    // The corrected headline: of the bytes retransmissions would have cost
-    // as full-batch repeats, the fraction trimming actually saved. Same
-    // numerator as above, honest denominator (retransmitted bytes only).
+    // Of the bytes retransmissions would have cost as full-batch repeats,
+    // the fraction trimming saved. Retransmissions are a small slice of
+    // total traffic, so only retransmitted bytes make an honest denominator.
     retrans_saved_frac = 1.0 - static_cast<double>(trim_retrans_sent) /
                                    static_cast<double>(trim_retrans_full);
     rep.set("lossy_trim_retransmit_saved_frac", retrans_saved_frac);
@@ -330,8 +308,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   // Batch-repeat trimming must keep saving a share of retransmitted bytes
-  // (the honest-denominator fraction: ~0.05 measured; the whole-traffic
-  // lossy_trim_bytes_saved_frac ~0.01 is a denominator artifact, see above).
+  // (~0.05 measured).
   if (trim_retrans_full > 0 && retrans_saved_frac < 0.03) {
     std::fprintf(stderr, "FAIL: retransmit trim saved only %.3f < 0.03\n",
                  retrans_saved_frac);

@@ -50,25 +50,28 @@ cluster::cluster(cluster_config cfg)
   unicast_to_.resize(1);
   for (std::uint32_t i = 0; i < cfg_.n; ++i) {
     all_processes_.push_back(process_id{i});
-    auto nd = std::make_unique<node>(cfg_.disk);
+    std::unique_ptr<storage::stable_store> st;
+    storage::wal_store* wal = nullptr;
     if (cfg_.wal_storage) {
       storage::wal_store_config wc;
       wc.compact_min_bytes = cfg_.wal_compact_min_bytes;
-      auto wal = std::make_unique<storage::wal_store>(
+      auto w = std::make_unique<storage::wal_store>(
           std::make_unique<storage::memory_media>(), wc);
-      nd->wal = wal.get();
-      nd->store = std::move(wal);
+      wal = w.get();
+      st = std::move(w);
     } else {
-      nd->store = std::make_unique<storage::memory_store>();
+      st = std::make_unique<storage::memory_store>();
     }
-    nd->core = std::make_unique<proto::quorum_core>(cfg_.policy, process_id{i}, cfg_.n,
-                                                    *nd->store, rng_.next_u64());
-    proto::outputs out;
-    nd->core->start(out);
-    if (!out.empty()) throw driver_error("cluster: start() must not emit effects");
-    nodes_.push_back(std::move(nd));
+    nodes_.push_back(
+        std::make_unique<node>(*this, process_id{i}, std::move(st), wal, rng_.next_u64()));
+    nodes_.back()->host.start();
   }
 }
+
+cluster::node::node(cluster& owner, process_id p, std::unique_ptr<storage::stable_store> st,
+                    storage::wal_store* w, std::uint64_t epoch)
+    : c(owner), self(p), stable(std::move(st)), wal(w),
+      host(owner.cfg_.policy, p, owner.cfg_.n, *stable, epoch, *this), disk(owner.cfg_.disk) {}
 
 cluster::node& cluster::node_at(process_id p) {
   if (!p.valid() || p.index >= nodes_.size()) throw driver_error("cluster: bad process id");
@@ -84,31 +87,19 @@ cluster::context& cluster::ctx_of(node& nd, proto::exec_context c) {
   return c == proto::exec_context::client ? nd.client_ctx : nd.listener_ctx;
 }
 
-proto::outputs& cluster::acquire_outputs() {
-  if (outputs_depth_ == outputs_slabs_.size()) {
-    outputs_slabs_.push_back(std::make_unique<proto::outputs>());
-  }
-  return *outputs_slabs_[outputs_depth_++];
-}
-
-void cluster::release_outputs(proto::outputs& out) {
-  out.clear();  // keeps buffer capacity; the next lease reuses it
-  --outputs_depth_;
-}
-
 bool cluster::is_ready(process_id p) const {
   const node& nd = node_at(p);
-  return nd.up && nd.core->ready();
+  return nd.host.core().ready();
 }
 
-proto::quorum_core& cluster::core_of(process_id p) { return *node_at(p).core; }
+proto::quorum_core& cluster::core_of(process_id p) { return node_at(p).host.core(); }
 
-storage::stable_store& cluster::store_of(process_id p) { return *node_at(p).store; }
+storage::stable_store& cluster::store_of(process_id p) { return *node_at(p).stable; }
 
 storage::wal_store* cluster::wal_of(process_id p) { return node_at(p).wal; }
 
 std::uint64_t cluster::durable_stores(process_id p) const {
-  return node_at(p).store->store_count();
+  return node_at(p).stable->store_count();
 }
 
 // ---- Workload scheduling ----------------------------------------------------
@@ -308,7 +299,11 @@ void cluster::execute(sim::sim_event& ev) {
       deliver_timer(ev.target, ev.a, ev.incarnation);
       return;
     case sim::event_kind::lease_expiry:
-      deliver_lease_expiry(ev.target, ev.a, ev.incarnation);
+      // No busy-context requeue: a deadline must never slip past its virtual
+      // time — the fast path's safety rests on holders expiring no later
+      // than their grantors' records — and expiry is pure bookkeeping (no
+      // I/O, no blocking), so delivering it out-of-band is sound.
+      nd_of(ev.target).host.on_lease_expiry(ev.a, ev.incarnation);
       return;
     case sim::event_kind::op_dispatch:
       handle_op_dispatch(ev);
@@ -334,7 +329,7 @@ void cluster::handle_op_dispatch(const sim::sim_event& ev) {
   if (ev.a == sim::no_event_arg) {
     // Redispatch pump armed while the client context was busy; stale after a
     // crash (the queued ops it was pumping were dropped with the client).
-    if (ev.incarnation == nd.incarnation) dispatch_next_op(ev.target);
+    if (ev.incarnation == nd.host.incarnation()) dispatch_next_op(ev.target);
     return;
   }
   nd.op_queue.push_back(pending_invocation{ev.a});
@@ -343,11 +338,11 @@ void cluster::handle_op_dispatch(const sim::sim_event& ev) {
 
 void cluster::dispatch_next_op(process_id p) {
   node& nd = nd_of(p);
-  if (!nd.up || !nd.core->is_up() || !nd.core->ready() || !nd.core->idle()) return;
+  if (!nd.host.core().ready() || !nd.host.core().idle()) return;
   if (nd.active_op || nd.op_queue.empty()) return;
   if (nd.client_ctx.busy_until > now()) {
     queue_.schedule_plain(nd.client_ctx.busy_until, sim::event_kind::op_dispatch, p,
-                          sim::no_event_arg, nd.incarnation);
+                          sim::no_event_arg, nd.host.incarnation());
     return;
   }
 
@@ -357,7 +352,6 @@ void cluster::dispatch_next_op(process_id p) {
   nd.active_op = inv.handle;
   dispatched_.push_back(inv.handle);
 
-  outputs_lease lease(*this);
   op_result& r = results_[inv.handle];
   r.invoked_at = now();
   // One invoke event per register: each register's projection of the
@@ -369,22 +363,17 @@ void cluster::dispatch_next_op(process_id p) {
       recorder_.invoke_write(p, e.reg, e.val, now());
     }
   }
-  if (r.is_read) {
-    nd.core->invoke_read(r.entries, lease.out);
-  } else {
-    nd.core->invoke_write(r.entries, lease.out);
-  }
-  // Fresh attribution window for this op (its identity is the core's current
-  // (epoch, op_seq); effects emitted below match it).
+  // Fresh attribution window for this op (its identity is the core's
+  // (epoch, op_seq) once invoked; the effects it emits match it).
   nd.attr_messages = 0;
   nd.attr_logs = 0;
   nd.attr_net_bytes = 0;
-  execute_effects(p, lease.out);
+  nd.host.invoke(r.is_read, r.entries);
 }
 
 void cluster::deliver_message(process_id p, const proto::shared_message& mh) {
   node& nd = nd_of(p);
-  if (!nd.up || !nd.core->is_up()) return;  // dropped at a dead host
+  if (!nd.host.core().is_up()) return;  // dropped at a dead host
   const proto::message& m = *mh;
   // Acks return to the client thread; requests hit the listener thread.
   context& ctx = proto::is_ack_kind(m.kind) ? nd.client_ctx : nd.listener_ctx;
@@ -395,9 +384,7 @@ void cluster::deliver_message(process_id p, const proto::shared_message& mh) {
     return;
   }
   ctx.busy_until = now() + cfg_.process_step_cost;
-  outputs_lease lease(*this);
-  nd.core->on_message(m, lease.out);
-  execute_effects(p, lease.out);
+  nd.host.on_message(m);
 }
 
 void cluster::deliver_log_done(process_id p, std::uint64_t token, storage::record_key key,
@@ -405,42 +392,25 @@ void cluster::deliver_log_done(process_id p, std::uint64_t token, storage::recor
                                std::span<const storage::record_key> obsoletes,
                                std::uint64_t incarnation) {
   node& nd = nd_of(p);
-  if (nd.incarnation != incarnation || !nd.up || !nd.core->is_up()) {
+  if (!nd.host.live(incarnation)) {
     // The process crashed while the store was in flight: under the
     // conservative durability model the record never hit the platter.
     return;
   }
-  nd.store->store_and_obsolete(key, record, obsoletes);  // durability point
-  outputs_lease lease(*this);
-  nd.core->on_log_done(token, lease.out);
-  execute_effects(p, lease.out);
+  nd.stable->store_and_obsolete(key, record, obsoletes);  // durability point
+  nd.host.on_log_done(token, incarnation);
 }
 
 void cluster::deliver_timer(process_id p, std::uint64_t token, std::uint64_t incarnation) {
   node& nd = nd_of(p);
-  if (nd.incarnation != incarnation || !nd.up || !nd.core->is_up()) return;
+  if (!nd.host.live(incarnation)) return;
   context& ctx = nd.client_ctx;
   if (ctx.busy_until > now()) {
     queue_.schedule_plain(ctx.busy_until, sim::event_kind::timer, p, token, incarnation);
     return;
   }
   ctx.busy_until = now() + cfg_.process_step_cost;
-  outputs_lease lease(*this);
-  nd.core->on_timer(token, lease.out);
-  execute_effects(p, lease.out);
-}
-
-void cluster::deliver_lease_expiry(process_id p, std::uint64_t token,
-                                   std::uint64_t incarnation) {
-  node& nd = nd_of(p);
-  if (nd.incarnation != incarnation || !nd.up || !nd.core->is_up()) return;
-  // No busy-context requeue: a deadline must never slip past its virtual
-  // time — the fast path's safety rests on holders expiring no later than
-  // their grantors' records — and expiry is pure bookkeeping (no I/O, no
-  // blocking), so delivering it out-of-band is sound.
-  outputs_lease lease(*this);
-  nd.core->on_lease_expiry(token, lease.out);
-  execute_effects(p, lease.out);
+  nd.host.on_timer(token, incarnation);
 }
 
 void cluster::route_message(process_id from, const std::vector<process_id>& tos,
@@ -460,68 +430,63 @@ void cluster::route_message(process_id from, const std::vector<process_id>& tos,
                           std::move(mh));
 }
 
-void cluster::execute_effects(process_id p, proto::outputs& out) {
-  node& nd = nd_of(p);
+// ---- The simulator as a host environment -------------------------------------
 
-  for (proto::log_request& lr : out.logs) {
-    // The piggybacked tombstones ride the same synchronous store; charge
-    // their key bytes against the same disk transfer.
-    std::size_t size = lr.record.size() + lr.key.encoded_size();
-    for (const storage::record_key& k : lr.obsoletes) size += k.encoded_size();
-    const time_ns done_at = nd.disk.issue(now(), size);
-    ctx_of(nd, lr.ctx).busy_until = done_at;  // synchronous store blocks its thread
-    if (lr.op_seq != 0) {
-      node& o = nd_of(lr.origin);
-      if (o.active_op && o.core->current_op_seq() == lr.op_seq &&
-          o.core->current_epoch() == lr.epoch) {
-        o.attr_logs += 1;
-      }
-    } else {
-      recovery_stores_ += 1;
-    }
-    if (nd.wal != nullptr) {
-      // Remember what this store will append, so a crash before done_at can
-      // tear exactly its frame bytes (do_crash).
-      nd.last_log_key = lr.key;
-      nd.last_log_record.assign(lr.record.begin(), lr.record.end());
-      nd.last_log_obsoletes.assign(lr.obsoletes.begin(), lr.obsoletes.end());
-      nd.last_log_done_at = done_at;
-    }
-    queue_.schedule_log_done(done_at, p, lr.token, nd.incarnation, lr.key, lr.record,
+void cluster::node::store(proto::log_request& lr, std::uint64_t incarnation) {
+  // The piggybacked tombstones ride the same synchronous store; charge
+  // their key bytes against the same disk transfer.
+  std::size_t size = lr.record.size() + lr.key.encoded_size();
+  for (const storage::record_key& k : lr.obsoletes) size += k.encoded_size();
+  const time_ns done_at = disk.issue(c.now(), size);
+  c.ctx_of(*this, lr.ctx).busy_until = done_at;  // synchronous store blocks its thread
+  if (lr.op_seq == 0) {
+    c.recovery_stores_ += 1;
+  } else if (node* o = c.op_owner(lr.origin, lr.epoch, lr.op_seq)) {
+    o->attr_logs += 1;
+  }
+  if (wal != nullptr) {
+    // Remember what this store will append, so a crash before done_at can
+    // tear exactly its frame bytes (do_crash).
+    last_log_key = lr.key;
+    last_log_record.assign(lr.record.begin(), lr.record.end());
+    last_log_obsoletes.assign(lr.obsoletes.begin(), lr.obsoletes.end());
+    last_log_done_at = done_at;
+  }
+  c.queue_.schedule_log_done(done_at, self, lr.token, incarnation, lr.key, lr.record,
                              lr.obsoletes);
-  }
-
-  for (const proto::broadcast_request& b : out.broadcasts) {
-    // Acks are never broadcast, so the sender is the op's origin.
-    attribute_messages(b.msg.from, b.msg.epoch, b.msg.op_seq, cfg_.n,
-                       static_cast<std::uint64_t>(proto::wire_size(b.msg)) * cfg_.n);
-    route_message(p, all_processes_, b.msg);
-  }
-
-  for (const proto::send_request& s : out.sends) {
-    // An ack's cost belongs to the op of its *recipient* (the invoker).
-    attribute_messages(proto::is_ack_kind(s.msg.kind) ? s.to : s.msg.from,
-                       s.msg.epoch, s.msg.op_seq, 1, proto::wire_size(s.msg));
-    unicast_to_[0] = s.to;
-    route_message(p, unicast_to_, s.msg);
-  }
-
-  for (const proto::timer_request& t : out.timers) {
-    queue_.schedule_plain(now() + t.delay, sim::event_kind::timer, p, t.token,
-                          nd.incarnation);
-  }
-
-  for (const proto::timer_request& t : out.lease_timers) {
-    queue_.schedule_plain(now() + t.delay, sim::event_kind::lease_expiry, p, t.token,
-                          nd.incarnation);
-  }
-
-  if (out.completion) finish_active_op(p, *out.completion);
-  if (out.recovery_complete) {
-    nd.recover_scheduled = false;
-    dispatch_next_op(p);
-  }
 }
+
+void cluster::node::broadcast(const proto::message& m) {
+  // Acks are never broadcast, so the sender is the op's origin.
+  if (node* o = c.op_owner(m.from, m.epoch, m.op_seq)) {
+    o->attr_messages += c.cfg_.n;
+    o->attr_net_bytes += static_cast<std::uint64_t>(proto::wire_size(m)) * c.cfg_.n;
+  }
+  c.route_message(self, c.all_processes_, m);
+}
+
+void cluster::node::send(process_id to, const proto::message& m) {
+  // An ack's cost belongs to the op of its *recipient* (the invoker).
+  if (node* o = c.op_owner(proto::is_ack_kind(m.kind) ? to : m.from, m.epoch, m.op_seq)) {
+    o->attr_messages += 1;
+    o->attr_net_bytes += proto::wire_size(m);
+  }
+  c.unicast_to_[0] = to;
+  c.route_message(self, c.unicast_to_, m);
+}
+
+void cluster::node::arm(proto::deadline_kind k, const proto::timer_request& t,
+                        std::uint64_t incarnation) {
+  c.queue_.schedule_plain(c.now() + t.delay,
+                          k == proto::deadline_kind::retransmit
+                              ? sim::event_kind::timer
+                              : sim::event_kind::lease_expiry,
+                          self, t.token, incarnation);
+}
+
+void cluster::node::completed(proto::op_outcome& oc) { c.finish_active_op(self, oc); }
+
+void cluster::node::recovered() { c.dispatch_next_op(self); }
 
 void cluster::finish_active_op(process_id p, const proto::op_outcome& oc) {
   node& nd = nd_of(p);
@@ -560,7 +525,7 @@ cluster::register_snapshot cluster::export_register(register_id reg) const {
   snap.reg = reg;
   for (const auto& nd : nodes_) {
     // Stable state survives crashes; read it regardless of up/down.
-    if (const auto rec = nd->store->retrieve(proto::written_key_of(reg))) {
+    if (const auto rec = nd->stable->retrieve(proto::written_key_of(reg))) {
       const auto tv = proto::decode_tagged_value(*rec);
       snap.has_state = true;
       if (snap.written_ts < tv.ts) {
@@ -568,7 +533,7 @@ cluster::register_snapshot cluster::export_register(register_id reg) const {
         snap.written_val = tv.val;
       }
     }
-    if (const auto rec = nd->store->retrieve(proto::writing_key_of(reg))) {
+    if (const auto rec = nd->stable->retrieve(proto::writing_key_of(reg))) {
       const auto tv = proto::decode_tagged_value(*rec);
       snap.has_state = true;
       if (snap.pending_ts < tv.ts) {
@@ -578,12 +543,12 @@ cluster::register_snapshot cluster::export_register(register_id reg) const {
     }
     // Volatile state can run ahead of stable (an adoption whose log is still
     // in flight) — and is all there is under policies that never log.
-    const tag vt = nd->core->replica_tag(reg);
+    const tag vt = nd->host.core().replica_tag(reg);
     if (initial_tag < vt) {
       snap.has_state = true;
       if (snap.written_ts < vt) {
         snap.written_ts = vt;
-        snap.written_val = nd->core->replica_value(reg);
+        snap.written_val = nd->host.core().replica_value(reg);
       }
     }
   }
@@ -613,19 +578,19 @@ void cluster::import_register(const register_snapshot& snap) {
     if (log_stable) {
       // Adopt-if-newer into the stable store: never regress a record.
       bool newer = true;
-      if (const auto rec = nd.store->retrieve(proto::written_key_of(snap.reg))) {
+      if (const auto rec = nd.stable->retrieve(proto::written_key_of(snap.reg))) {
         newer = proto::decode_tagged_value(*rec).ts < ts;
       }
-      if (newer) nd.store->store(proto::written_key_of(snap.reg), encoded);
+      if (newer) nd.stable->store(proto::written_key_of(snap.reg), encoded);
       if (snap.has_pending && i == 0) {
         // Re-install the pre-log at one process so a future recovery replays
         // the finish-write round, exactly as on the source group.
         bool prelog_newer = true;
-        if (const auto rec = nd.store->retrieve(proto::writing_key_of(snap.reg))) {
+        if (const auto rec = nd.stable->retrieve(proto::writing_key_of(snap.reg))) {
           prelog_newer = proto::decode_tagged_value(*rec).ts < snap.pending_ts;
         }
         if (prelog_newer) {
-          nd.store->store(proto::writing_key_of(snap.reg),
+          nd.stable->store(proto::writing_key_of(snap.reg),
                           proto::encode(proto::tagged_value_record{snap.pending_ts,
                                                                   snap.pending_val}));
         }
@@ -633,7 +598,7 @@ void cluster::import_register(const register_snapshot& snap) {
     }
     // Crashed cores skip the volatile install: their recovery restores it
     // from the records written above.
-    if (nd.up && nd.core->is_up()) nd.core->adopt_if_newer(snap.reg, ts, val);
+    if (nd.host.core().is_up()) nd.host.core().adopt_if_newer(snap.reg, ts, val);
   }
 }
 
@@ -641,19 +606,19 @@ std::uint32_t cluster::evict_register(register_id reg) {
   const consumer_guard guard(*this);
   std::uint32_t leases_dropped = 0;
   for (const auto& nd : nodes_) {
-    nd->store->erase(proto::writing_key_of(reg));
-    nd->store->erase(proto::written_key_of(reg));
+    nd->stable->erase(proto::writing_key_of(reg));
+    nd->stable->erase(proto::written_key_of(reg));
     // The stable grantor record goes regardless of liveness — a crashed
     // grantor's recovery must not resurrect a lease on a group that no
     // longer owns the register. A live core's evict() already counts its
     // volatile registry entry, so the record only counts when the core is
     // down (it is all the state that remains there).
-    const bool live = nd->up && nd->core->is_up();
+    const bool live = nd->host.core().is_up();
     const bool had_record =
-        static_cast<bool>(nd->store->retrieve(proto::lease_key_of(reg)));
-    nd->store->erase(proto::lease_key_of(reg));
+        static_cast<bool>(nd->stable->retrieve(proto::lease_key_of(reg)));
+    nd->stable->erase(proto::lease_key_of(reg));
     if (live) {
-      leases_dropped += nd->core->evict(reg);
+      leases_dropped += nd->host.core().evict(reg);
     } else if (had_record) {
       leases_dropped += 1;
     }
@@ -667,9 +632,9 @@ void cluster::for_each_register_with_state(
   std::vector<register_id> regs;
   for (const auto& nd : nodes_) {
     const auto collect = [&regs](register_id reg, const bytes&) { regs.push_back(reg); };
-    nd->store->for_each(storage::record_area::written, collect);
-    nd->store->for_each(storage::record_area::writing, collect);
-    nd->core->for_each_register([&regs](register_id reg) { regs.push_back(reg); });
+    nd->stable->for_each(storage::record_area::written, collect);
+    nd->stable->for_each(storage::record_area::writing, collect);
+    nd->host.core().for_each_register([&regs](register_id reg) { regs.push_back(reg); });
   }
   std::sort(regs.begin(), regs.end());
   regs.erase(std::unique(regs.begin(), regs.end()), regs.end());
@@ -680,8 +645,7 @@ void cluster::do_crash(process_id p, crash_style style) {
   node& nd = nd_of(p);
   if (!nd.up) return;
   nd.up = false;
-  nd.incarnation += 1;
-  nd.core->crash();
+  nd.host.crash();
   nd.client_ctx.busy_until = 0;
   nd.listener_ctx.busy_until = 0;
   nd.disk.reset(now());
@@ -737,22 +701,19 @@ void cluster::do_recover(process_id p) {
   nd.up = true;
   recorder_.recover(p, now());
   nd.client_ctx.busy_until = now() + cfg_.recovery_read_latency;
-  nd.recover_scheduled = true;
-  const std::uint64_t inc = nd.incarnation;
+  const std::uint64_t inc = nd.host.incarnation();
   // retrieve() of the stable records costs one synchronous disk read. Cold
   // path: the generic-thunk fallback is fine here.
   queue_.schedule_at(now() + cfg_.recovery_read_latency, [this, p, inc] {
     node& nd2 = nd_of(p);
-    if (nd2.incarnation != inc || !nd2.up) return;  // crashed again meanwhile
+    if (nd2.host.incarnation() != inc) return;  // crashed again meanwhile
     if (nd2.wal != nullptr) {
       // Rebuild the live index from snapshot+log through the checksum
       // scanner; a torn or corrupted tail is discarded here, before the
       // protocol's Recover() reads a single record.
       nd2.wal->reopen();
     }
-    outputs_lease lease(*this);
-    nd2.core->recover(rng_.next_u64(), lease.out);
-    execute_effects(p, lease.out);
+    nd2.host.recover(rng_.next_u64());
   });
 }
 

@@ -23,10 +23,11 @@
 //
 // Hot-path discipline: the cluster is the queue's `sim_executor` — simulator
 // traffic is typed events, not closures; broadcast payloads are pooled
-// refcounted messages shared by all n deliveries; attribution lives in a flat
-// hash keyed on packed (origin, epoch, seq); and effect batches, route
-// buffers, and unicast scratch are pooled so steady-state execution performs
-// no heap allocation in the simulation substrate.
+// refcounted messages shared by all n deliveries; attribution is a few
+// counters per process; and effect batches (pooled by each process's
+// proto::host), route buffers and unicast scratch are reused, so
+// steady-state execution performs no heap allocation in the simulation
+// substrate.
 #pragma once
 
 #include <atomic>
@@ -43,7 +44,7 @@
 #include "history/recorder.h"
 #include "history/tag_order.h"
 #include "metrics/op_metrics.h"
-#include "proto/quorum_core.h"
+#include "proto/host.h"
 #include "proto/shared_message.h"
 #include "sim/disk_model.h"
 #include "sim/event_queue.h"
@@ -238,11 +239,26 @@ class cluster final : private sim::sim_executor {
     // results_[handle].entries at invoke time — no per-invocation copy.
   };
 
-  struct node {
-    std::unique_ptr<storage::stable_store> store;
-    /// Non-null iff `store` is the WAL engine (cfg.wal_storage).
+  /// One simulated process, and the environment its host executes effects
+  /// in: the disk model, the network model and the event queue's clock.
+  struct node final : proto::host_env {
+    node(cluster& owner, process_id p, std::unique_ptr<storage::stable_store> st,
+         storage::wal_store* w, std::uint64_t epoch);
+
+    void store(proto::log_request& lr, std::uint64_t incarnation) override;
+    void send(process_id to, const proto::message& m) override;
+    void broadcast(const proto::message& m) override;
+    void arm(proto::deadline_kind k, const proto::timer_request& t,
+             std::uint64_t incarnation) override;
+    void completed(proto::op_outcome& oc) override;
+    void recovered() override;
+
+    cluster& c;
+    const process_id self;
+    std::unique_ptr<storage::stable_store> stable;
+    /// Non-null iff `stable` is the WAL engine (cfg.wal_storage).
     storage::wal_store* wal = nullptr;
-    std::unique_ptr<proto::quorum_core> core;
+    proto::host host;
     sim::disk_model disk;
     /// WAL engine only: what the last issued store will append, and when
     /// it completes, so a crash before `last_log_done_at` can leave a torn
@@ -255,9 +271,7 @@ class cluster final : private sim::sim_executor {
     time_ns last_log_done_at = 0;
     context client_ctx;
     context listener_ctx;
-    bool up = true;
-    bool recover_scheduled = false;
-    std::uint64_t incarnation = 0;
+    bool up = true;  // the process is up, its core possibly still recovering
     std::deque<pending_invocation> op_queue;
     std::optional<op_handle> active_op;
     /// Metric attribution for the active op. Effects carry their op's
@@ -269,20 +283,6 @@ class cluster final : private sim::sim_executor {
     std::uint32_t attr_messages = 0;
     std::uint32_t attr_logs = 0;
     std::uint64_t attr_net_bytes = 0;
-
-    explicit node(sim::disk_config dc) : disk(dc) {}
-  };
-
-  /// RAII lease of a pooled effect batch (reentrant: an effect handler may
-  /// trigger another handler, so leases nest).
-  struct outputs_lease {
-    explicit outputs_lease(cluster& cl) : c(cl), out(cl.acquire_outputs()) {}
-    ~outputs_lease() { c.release_outputs(out); }
-    outputs_lease(const outputs_lease&) = delete;
-    outputs_lease& operator=(const outputs_lease&) = delete;
-
-    cluster& c;
-    proto::outputs& out;
   };
 
   [[nodiscard]] node& node_at(process_id p);
@@ -291,8 +291,6 @@ class cluster final : private sim::sim_executor {
   /// event was submitted (node_at keeps the checks for the public surface).
   [[nodiscard]] node& nd_of(process_id p) noexcept { return *nodes_[p.index]; }
   context& ctx_of(node& nd, proto::exec_context c);
-  proto::outputs& acquire_outputs();
-  void release_outputs(proto::outputs& out);
 
   void execute(sim::sim_event& ev) override;
   void handle_op_dispatch(const sim::sim_event& ev);
@@ -303,9 +301,6 @@ class cluster final : private sim::sim_executor {
                         std::span<const storage::record_key> obsoletes,
                         std::uint64_t incarnation);
   void deliver_timer(process_id p, std::uint64_t token, std::uint64_t incarnation);
-  void deliver_lease_expiry(process_id p, std::uint64_t token,
-                            std::uint64_t incarnation);
-  void execute_effects(process_id p, proto::outputs& out);
   void route_message(process_id from, const std::vector<process_id>& tos,
                      const proto::message& m);
   void do_crash(process_id p, crash_style style);
@@ -313,19 +308,15 @@ class cluster final : private sim::sim_executor {
   void finish_active_op(process_id p, const proto::op_outcome& oc);
   op_handle submit_op(process_id p, bool is_read, std::vector<proto::batch_entry> entries,
                       time_ns at);
-  /// Count `n` messages (totalling `bytes` on the wire) against the origin's
-  /// active op, if the identity (origin, epoch, seq) names it; stale traffic
-  /// goes unattributed.
-  void attribute_messages(process_id origin, std::uint64_t epoch,
-                          std::uint64_t op_seq, std::uint32_t n,
-                          std::uint64_t bytes) {
-    if (!origin.valid() || op_seq == 0) return;
+  /// The node whose active op is (origin, epoch, seq), which an effect's
+  /// cost is counted against; nullptr for stale traffic and recovery.
+  node* op_owner(process_id origin, std::uint64_t epoch, std::uint64_t op_seq) {
+    if (!origin.valid() || op_seq == 0) return nullptr;
     node& o = nd_of(origin);
-    if (o.active_op && o.core->current_op_seq() == op_seq &&
-        o.core->current_epoch() == epoch) {
-      o.attr_messages += n;
-      o.attr_net_bytes += bytes;
-    }
+    const proto::quorum_core& core = o.host.core();
+    const bool active = o.active_op && core.current_op_seq() == op_seq &&
+                        core.current_epoch() == epoch;
+    return active ? &o : nullptr;
   }
 
   cluster_config cfg_;
@@ -372,10 +363,6 @@ class cluster final : private sim::sim_executor {
   std::vector<process_id> all_processes_;
   std::vector<process_id> unicast_to_;
   std::vector<sim::delivery> route_scratch_;
-  // Effect-batch pool: leases nest strictly LIFO (handler reentrancy), so a
-  // depth index into the slab list replaces a free list.
-  std::vector<std::unique_ptr<proto::outputs>> outputs_slabs_;
-  std::size_t outputs_depth_ = 0;
 };
 
 }  // namespace remus::core

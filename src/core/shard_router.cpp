@@ -23,6 +23,20 @@ constexpr time_ns lockstep_window = 100 * 1000;  // 100 us
 /// useful granularity.
 constexpr std::uint64_t drain_chunk_events = 1u << 18;
 
+/// Virtual nodes per shard on the placement ring.
+constexpr std::uint32_t ring_vnodes = 64;
+/// Background-drain rate while a migration window is open: moved keys
+/// handed off per scheduling round. Lower stretches the window; higher
+/// converges faster but bursts import work.
+constexpr std::uint32_t drain_keys_per_pump = 4;
+
+/// Shard s's cluster config: the template with an independent seed.
+cluster_config shard_config(const cluster_config& base, std::uint32_t s) {
+  cluster_config cfg = base;
+  cfg.seed = base.seed + s * 0x9e3779b97f4a7c15ULL;
+  return cfg;
+}
+
 std::uint32_t resolve_workers(std::uint32_t workers) {
   if (workers != 0) return workers;
   return std::max(1u, std::thread::hardware_concurrency());
@@ -32,20 +46,15 @@ std::uint32_t resolve_workers(std::uint32_t workers) {
 shard_router::shard_router(shard_router_config cfg)
     : cfg_(std::move(cfg)),
       driver_(sim::make_shard_driver(resolve_workers(cfg_.workers))),
-      ring_(cfg_.shards, cfg_.vnodes, /*epoch=*/0) {
+      ring_(cfg_.shards, ring_vnodes, /*epoch=*/0) {
   // (shards == 0 already rejected by ring_'s constructor.)
-  if (cfg_.drain_keys_per_pump == 0) {
-    throw driver_error("shard_router: drain_keys_per_pump must be >= 1");
-  }
   shards_.reserve(cfg_.shards);
   split_ops_.resize(cfg_.shards);
   split_regs_.resize(cfg_.shards);
   split_pos_.resize(cfg_.shards);
   wb_regs_scratch_.resize(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
-    cluster_config shard_cfg = cfg_.base;
-    shard_cfg.seed = cfg_.base.seed + s * cfg_.seed_stride;
-    shards_.push_back(std::make_unique<cluster>(std::move(shard_cfg)));
+    shards_.push_back(std::make_unique<cluster>(shard_config(cfg_.base, s)));
   }
 }
 
@@ -85,9 +94,7 @@ std::uint32_t shard_router::begin_add_shard() {
 
   // Spin up shard S with the same seed formula construction uses, so a
   // grown router is shard-for-shard identical to one built at S+1.
-  cluster_config shard_cfg = cfg_.base;
-  shard_cfg.seed = cfg_.base.seed + s * cfg_.seed_stride;
-  shards_.push_back(std::make_unique<cluster>(std::move(shard_cfg)));
+  shards_.push_back(std::make_unique<cluster>(shard_config(cfg_.base, s)));
   shards_.back()->run_for(now());  // align the newborn's clock to the fleet
   split_ops_.resize(s + 1);
   split_regs_.resize(s + 1);
@@ -311,7 +318,7 @@ void shard_router::pump_migration() {
 
   // 2. Background drain: hand off up to drain_keys_per_pump quiet keys per
   //    scheduling round, ascending key order (deterministic schedule).
-  std::uint32_t budget = cfg_.drain_keys_per_pump;
+  std::uint32_t budget = drain_keys_per_pump;
   std::size_t keep = 0;
   for (std::size_t i = 0; i < drain_worklist_.size(); ++i) {
     const register_id reg = drain_worklist_[i];

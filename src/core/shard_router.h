@@ -127,21 +127,15 @@
 namespace remus::core {
 
 struct shard_router_config {
-  /// Number of independent quorum groups (>= 1) at construction.
+  /// Number of independent quorum groups (>= 1) at construction. Each has
+  /// 64 virtual nodes on the placement ring (see hash_ring.h).
   std::uint32_t shards = 1;
-  /// Virtual nodes per shard on the placement ring (see hash_ring.h).
-  std::uint32_t vnodes = 64;
-  /// Template for every shard's cluster. Shard s runs `base` with
-  /// seed = base.seed + s * seed_stride, so shards see independent random
+  /// Template for every shard's cluster. Shard s runs `base` with its seed
+  /// offset by s times a fixed odd stride, so shards see independent random
   /// streams (jitter, epochs) while the whole router stays reproducible
   /// from base.seed. Shards added by begin_add_shard() follow the same
   /// formula, so a grown router equals a bigger one shard-for-shard.
   cluster_config base;
-  std::uint64_t seed_stride = 0x9e3779b97f4a7c15ULL;
-  /// Background-drain rate: moved keys handed off per scheduling round
-  /// while a migration window is open (>= 1). Lower stretches the window;
-  /// higher converges faster but bursts import work.
-  std::uint32_t drain_keys_per_pump = 4;
   /// Simulator worker threads (see "Parallel execution" in the file
   /// comment): 1 = sequential driver, k > 1 = pool of k threads advancing
   /// disjoint shards between window barriers, 0 = one per hardware thread.
@@ -184,7 +178,7 @@ class shard_router final {
     return static_cast<std::uint32_t>(shards_.size());
   }
   /// The target topology (epoch-stamped; during a window this is already
-  /// the *new* ring — see previous_ring()).
+  /// the *new* ring).
   [[nodiscard]] const hash_ring& ring() const noexcept { return ring_; }
   /// Direct access to one shard's cluster (faults, metrics, inspection).
   [[nodiscard]] cluster& shard(std::uint32_t s);
@@ -345,7 +339,6 @@ class shard_router final {
     }
   };
 
-  [[nodiscard]] cluster& owner_of(register_id reg) { return *shards_[shard_of(reg)]; }
   void check_local(process_id p) const;
   [[nodiscard]] bool is_migrated(register_id reg) const noexcept {
     return migrated_.find(reg) != nullptr;
@@ -365,7 +358,7 @@ class shard_router final {
   /// routing. Requires a quiet old shard.
   void handoff_key(register_id reg, migration_event::cause why, time_ns at);
   /// Drain-pump one scheduling round: apply completed read write-backs and
-  /// hand off up to cfg_.drain_keys_per_pump quiet worklist keys.
+  /// hand off a few quiet worklist keys (drain_keys_per_pump).
   void pump_migration();
   /// Advances every shard's clock to `t` (no-op for shards already there).
   void sync_clocks_to(time_ns t);

@@ -1,10 +1,10 @@
 // Effects emitted by protocol cores (sans-I/O discipline).
 //
 // A core never touches the network, the disk, or a clock: handling one input
-// appends requests to an `outputs` batch, and the driver (the simulator's
-// world or the threaded runtime) executes them. This keeps every algorithm
-// deterministic and lets the simulator charge the paper's delta/lambda costs
-// precisely.
+// appends requests to an `outputs` batch, and its proto::host (host.h)
+// executes them in the simulator's world or the threaded runtime. This keeps
+// every algorithm deterministic and lets the simulator charge the paper's
+// delta/lambda costs precisely.
 #pragma once
 
 #include <cstdint>

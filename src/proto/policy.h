@@ -103,17 +103,6 @@ struct protocol_policy {
   /// read becomes a lease grant round. 0 = lease on first read.
   std::uint32_t lease_hot_read_threshold = 2;
 
-  /// Batch-aware retransmission: on timeout, a batched update round resends
-  /// to each silent replica only the registers that still need its vote —
-  /// registers already durable at their own majority (update acks list the
-  /// registers they cover) are dropped from the repeat message, so a batch
-  /// blocked on one lagging register retransmits that register's (tag,
-  /// value), not the whole payload. Off = repeat the full batched message
-  /// (the pre-optimization behavior; bench_kv_throughput measures the
-  /// message-bytes delta under loss). Orthogonal to correctness: each
-  /// register independently reaches a majority of durable copies either way.
-  bool trim_batch_retransmit = true;
-
   /// Sanity: reject contradictory switch combinations.
   [[nodiscard]] bool coherent() const;
 };

@@ -210,7 +210,7 @@ void quorum_core::invoke_read(const std::vector<batch_entry>& regs, outputs& out
       // holding first), so the local value is returnable with zero messages.
       branches_.leased_read_hits += 1;
       op_outcome& oc = out.completion.emplace();
-      oc.op_seq = ++op_counter_;
+      oc.op_seq = cl_.op_seq = ++op_counter_;
       oc.is_read = true;
       oc.causal_logs = 0;
       oc.round_trips = 0;
@@ -577,13 +577,12 @@ void quorum_core::serve_update(const message& m, outputs& out) {
 
   // `instant` entries are acked now, the rest by the deferred ack. Without
   // logs every entry is instant; with them, the deferred ack covers them all
-  // unless the policy splits the ack: then registers that adopted nothing
-  // are vouched for at once, and only the registers whose (written) logs
-  // are in flight wait. The early per-register votes settle unchanged
-  // registers at the sender sooner, which is what lets its retransmissions
-  // drop them from the repeat payload (common under contention: racing
-  // operations overlap only partly, and a read write-back usually adopts
-  // almost nothing).
+  // unless some entries adopted nothing: those are vouched for at once, and
+  // only the registers whose (written) logs are in flight wait. The early
+  // per-register votes settle unchanged registers at the sender sooner,
+  // which is what lets its retransmissions drop them from the repeat
+  // payload (common under contention: racing operations overlap only
+  // partly, and a read write-back usually adopts almost nothing).
   //
   // Classification: an entry whose replica tag equals e.ts either just
   // adopted (its log is in the deferred ack) or was an equal-tag duplicate
@@ -591,7 +590,7 @@ void quorum_core::serve_update(const message& m, outputs& out) {
   // delays their vote, so the split stays sound either way.
   const auto deferred = [&](const batch_entry& e) {
     if (logs_needed == 0) return false;
-    if (!pol_.trim_batch_retransmit || logs_needed == m.entries.size()) return true;
+    if (logs_needed == m.entries.size()) return true;
     const replica_slot* rs = replicas_.find(e.reg);
     return rs != nullptr && rs->vtag == e.ts;
   };
@@ -781,11 +780,11 @@ void quorum_core::on_timer(std::uint64_t token, outputs& out) {
   }
   // Repeat the pseudocode's "repeat send until" loop: re-send to the
   // processes that have not answered this phase yet. Update rounds over
-  // several registers with trimming on shrink each repeat to the registers
-  // that still need the recipient's vote: settled registers
-  // (majority-durable) and registers the recipient already acked carry no
-  // information, so their (tag, value) payloads are dropped from the wire.
-  const bool trim = pol_.trim_batch_retransmit && cl_.slot_count > 1 && in_update_phase();
+  // several registers shrink each repeat to the registers that still need
+  // the recipient's vote: settled registers (majority-durable) and
+  // registers the recipient already acked carry no information, so their
+  // (tag, value) payloads are dropped from the wire.
+  const bool trim = cl_.slot_count > 1 && in_update_phase();
   branches_.retransmits += 1;
   if (trim) branches_.retransmit_trims += 1;
   const std::size_t full_bytes = wire_size(cl_.current);

@@ -103,10 +103,11 @@ class quorum_core final {
   quorum_core& operator=(const quorum_core&) = delete;
 
   // The sans-I/O contract: every entry point appends *effects* (messages to
-  // send, records to log, timers to arm, an operation outcome) to `out`; the
-  // driver (core::cluster or runtime::node) executes them. The core never
-  // performs I/O itself, which is what makes the same state machine run
-  // under the simulator, the threaded runtime, and the unit tests.
+  // send, records to log, timers to arm, an operation outcome) to `out`; a
+  // proto::host executes them in its environment (core::cluster or
+  // runtime::node). The core never performs I/O itself, which is what makes
+  // the same state machine run under the simulator, the threaded runtime,
+  // and the unit tests.
 
   /// First call after construction; must emit no effects (a fresh process
   /// has nothing pending — recovery of a non-fresh one goes via recover()).
@@ -172,10 +173,9 @@ class quorum_core final {
   [[nodiscard]] std::uint32_t quorum_size() const;
   /// Incarnation nonce (request/response matching metadata).
   [[nodiscard]] std::uint64_t current_epoch() const { return epoch_; }
-  /// Sequence number of the op in flight (or the last one when idle).
+  /// Sequence number of the op in flight, or of a leased read (which
+  /// completes at its invocation) until the next op; 0 otherwise.
   [[nodiscard]] std::uint64_t current_op_seq() const { return cl_.op_seq; }
-  /// The stable store backing this core (drivers execute log effects on it).
-  [[nodiscard]] storage::stable_store& stable_storage() const { return store_; }
   /// Distinct registers this replica holds state for (diagnostics).
   [[nodiscard]] std::size_t replica_register_count() const { return replicas_.size(); }
 

@@ -1,6 +1,8 @@
 #include "runtime/node.h"
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <utility>
 
 #include "common/error.h"
@@ -8,7 +10,7 @@
 namespace remus::runtime {
 namespace {
 
-std::chrono::nanoseconds ns(time_ns t) { return std::chrono::nanoseconds(t); }
+constexpr time_ns forever = std::numeric_limits<time_ns>::max();
 
 time_ns wall_now() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -21,11 +23,9 @@ time_ns wall_now() {
 node::node(proto::protocol_policy pol, process_id self, std::uint32_t n,
            storage::stable_store& store, transport& net, history::recorder& rec,
            node_options opt, std::uint64_t seed)
-    : self_(self), n_(n), net_(net), recorder_(rec), opt_(opt),
-      rng_(seed ^ (0x6e6f6465ULL + self.index)) {
-  core_ = std::make_unique<proto::quorum_core>(std::move(pol), self_, n_, store,
-                                               rng_.next_u64());
-}
+    : self_(self), n_(n), store_(store), net_(net), recorder_(rec), opt_(opt),
+      rng_(seed ^ (0x6e6f6465ULL + self.index)),
+      host_(std::move(pol), self_, n_, store, rng_.next_u64(), *this), wake_at_(forever) {}
 
 node::~node() {
   if (attached_) net_.detach(self_);
@@ -33,169 +33,177 @@ node::~node() {
 
 void node::start() {
   std::unique_lock lk(mu_);
-  proto::outputs out;
-  core_->start(out);
-  pump(lk, out);
+  host_.start();
   net_.attach(self_, [this](const proto::message& m) { on_datagram(m); });
   attached_ = true;
 }
 
 bool node::is_up() const {
   std::lock_guard lk(mu_);
-  return core_->is_up();
-}
-
-tag node::replica_tag() const {
-  std::lock_guard lk(mu_);
-  return core_->replica_tag();
+  return host_.core().is_up();
 }
 
 void node::on_datagram(const proto::message& m) {
   std::unique_lock lk(mu_);
-  if (!core_->is_up()) return;
-  proto::outputs out;
-  core_->on_message(m, out);
-  pump(lk, out);
+  feed(lk, [&] { host_.on_message(m); });
 }
 
-void node::pump(std::unique_lock<std::mutex>& lk, proto::outputs& out) {
-  // Sends first (transport has its own locking; its pump thread never holds
-  // our mutex while dispatching, so this cannot deadlock).
-  for (const proto::broadcast_request& b : out.broadcasts) net_.broadcast(n_, b.msg);
-  for (const proto::send_request& s : out.sends) net_.send(s.to, s.msg);
-  for (const proto::timer_request& t : out.timers) {
-    armed_timer_ = t.token;
-    armed_delay_ = t.delay;
-  }
-  if (out.completion) {
-    last_outcome_ = std::move(*out.completion);  // `out` is the caller's scratch
-    cv_.notify_all();
-  }
-  if (out.recovery_complete) {
-    recovery_done_ = true;
-    cv_.notify_all();
-  }
+void node::store(proto::log_request& lr, std::uint64_t incarnation) {
+  stores_->push_back({std::move(lr), incarnation});  // run by feed(), after the sends
+}
 
-  // Synchronous stores: the executing thread blocks on the disk while other
-  // threads keep serving (the paper's two-thread structure). The store runs
-  // outside the core mutex; completion feeds back in afterwards.
-  remus::recycling_vector<proto::log_request> logs = std::move(out.logs);
-  out.logs.clear();
-  for (proto::log_request& lr : logs) {
-    auto& store = core_->stable_storage();
-    const std::uint64_t epoch_at_issue = core_->current_epoch();
+void node::send(process_id to, const proto::message& m) { net_.send(to, m); }
+
+void node::broadcast(const proto::message& m) { net_.broadcast(n_, m); }
+
+void node::arm(proto::deadline_kind k, const proto::timer_request& t,
+               std::uint64_t incarnation) {
+  const deadline d{now_ + t.delay, t.token, incarnation};
+  if (k == proto::deadline_kind::lease_expiry) {
+    leases_.push(d);
+    return;
+  }
+  retransmit_ = d;  // the core's latest token supersedes every earlier one
+  if (d.at < wake_at_) cv_.notify_all();  // a blocked caller sleeps past it
+}
+
+void node::completed(proto::op_outcome& oc) {
+  for (const proto::batch_entry& e : oc.entries) {
+    if (oc.is_read) {
+      recorder_.reply_read(self_, e.reg, e.val, wall_now);
+    } else {
+      recorder_.reply_write(self_, e.reg, wall_now);
+    }
+  }
+  outcome_ = std::move(oc);
+  op_running_ = false;
+  cv_.notify_all();
+}
+
+void node::recovered() {
+  recovery_done_ = true;
+  cv_.notify_all();
+}
+
+void node::begin_input(std::vector<pending_store>& stores) {
+  stores_ = &stores;
+  now_ = wall_now();
+  if (leases_.empty() || leases_.top().at > now_) return;
+  std::lock_guard io(store_mu_);  // a grantor's expiry erases its record
+  while (!leases_.empty() && leases_.top().at <= now_) {
+    const deadline d = leases_.top();
+    leases_.pop();
+    host_.on_lease_expiry(d.token, d.incarnation);
+  }
+}
+
+template <class Input>
+void node::feed(std::unique_lock<std::mutex>& lk, Input&& input) {
+  std::vector<pending_store> stores;
+  begin_input(stores);
+  input();
+  // Other threads keep serving while this one blocks on the disk (the
+  // paper's two-thread structure). A crashed process writes nothing more.
+  for (std::size_t i = 0; i < stores.size(); ++i) {
+    pending_store ps = std::move(stores[i]);
+    if (!host_.live(ps.incarnation)) continue;
     lk.unlock();
-    // Retire the obsoleted (writing) records in the same store, as the
-    // simulator does (cluster::deliver_log_done): a recovering process
-    // re-finishes only the writes that were still in flight.
-    store.store_and_obsolete(lr.key, lr.record, lr.obsoletes);
+    {
+      std::lock_guard io(store_mu_);
+      store_.store_and_obsolete(ps.lr.key, ps.lr.record, ps.lr.obsoletes);
+    }
     lk.lock();
-    // If the process crashed (and possibly recovered) while we were writing,
-    // the completion belongs to a dead incarnation: drop it.
-    if (!core_->is_up() || core_->current_epoch() != epoch_at_issue) continue;
-    proto::outputs next;
-    core_->on_log_done(lr.token, next);
-    pump(lk, next);
+    begin_input(stores);
+    host_.on_log_done(ps.lr.token, ps.incarnation);
   }
 }
 
-void node::await_completion(std::unique_lock<std::mutex>& lk, std::uint64_t op_seq) {
-  const time_ns start = wall_now();
-  const std::uint64_t epoch = core_->current_epoch();
+template <class Done>
+void node::wait(std::unique_lock<std::mutex>& lk, time_ns until, Done&& done) {
+  const std::uint64_t incarnation = host_.incarnation();
   while (true) {
-    if (!core_->is_up() || core_->current_epoch() != epoch) {
+    if (!host_.live(incarnation)) {
       throw operation_aborted("node: process crashed during the operation");
     }
-    if (last_outcome_ && last_outcome_->op_seq == op_seq) return;
-    if (opt_.op_timeout > 0 && wall_now() - start > opt_.op_timeout) {
-      throw driver_error("node: operation timed out (majority unreachable?)");
+    if (done()) return;
+    const time_ns now = wall_now();
+    if (retransmit_.token != 0 && retransmit_.at <= now) {
+      const deadline d = std::exchange(retransmit_, deadline{});
+      feed(lk, [&] { host_.on_timer(d.token, d.incarnation); });
+      continue;
     }
-    const time_ns delay = armed_delay_ > 0 ? armed_delay_ : opt_.retransmit_check;
-    if (cv_.wait_for(lk, ns(delay)) == std::cv_status::timeout) {
-      if (!core_->is_up()) continue;
-      proto::outputs out;
-      core_->on_timer(armed_timer_, out);  // stale tokens are ignored
-      pump(lk, out);
+    if (now >= until) throw driver_error("node: timed out (majority unreachable?)");
+    wake_at_ = std::min({wake_at_, until, retransmit_.token != 0 ? retransmit_.at : until});
+    if (wake_at_ == forever) {
+      cv_.wait(lk);
+    } else {
+      using std::chrono::nanoseconds;
+      cv_.wait_until(lk, std::chrono::steady_clock::time_point(nanoseconds(wake_at_)));
     }
+    wake_at_ = forever;
   }
 }
 
 proto::op_outcome node::run_op(std::unique_lock<std::mutex>& lk, bool is_read,
                                register_id reg, const value& v) {
-  if (!core_->ready() || !core_->idle()) {
-    throw precondition_error("node: operation while not ready/idle");
-  }
+  if (!host_.core().is_up()) throw precondition_error("node: operation while crashed");
+  const time_ns until = opt_.op_timeout > 0 ? wall_now() + opt_.op_timeout : forever;
+  // An earlier operation whose caller gave up, or a recovery, may still be
+  // running: this call waits for it within its own timeout.
+  wait(lk, until, [this] { return host_.core().ready() && host_.core().idle(); });
   op_entries_.resize(1);
   op_entries_[0].reg = reg;
   op_entries_[0].val = v;
-  proto::outputs out;
   if (is_read) {
     recorder_.invoke_read(self_, reg, wall_now);
-    core_->invoke_read(op_entries_, out);
   } else {
     recorder_.invoke_write(self_, reg, v, wall_now);
-    core_->invoke_write(op_entries_, out);
   }
-  const std::uint64_t seq = core_->current_op_seq();
-  pump(lk, out);
-  await_completion(lk, seq);
-  proto::op_outcome oc = std::move(*last_outcome_);
-  last_outcome_.reset();
-  return oc;
+  op_running_ = true;  // a leased read completes inside the invocation
+  feed(lk, [&] { host_.invoke(is_read, op_entries_); });
+  wait(lk, until, [this] { return !op_running_; });
+  return std::move(outcome_);
 }
 
 value node::read(register_id reg) {
   std::unique_lock lk(mu_);
-  proto::op_outcome oc = run_op(lk, /*is_read=*/true, reg, initial_value());
-  recorder_.reply_read(self_, reg, oc.entries[0].val, wall_now);
-  return std::move(oc.entries[0].val);
+  return std::move(run_op(lk, /*is_read=*/true, reg, initial_value()).entries[0].val);
 }
 
 void node::write(register_id reg, const value& v) {
   std::unique_lock lk(mu_);
   (void)run_op(lk, /*is_read=*/false, reg, v);
-  recorder_.reply_write(self_, reg, wall_now);
 }
 
 void node::crash() {
   {
     std::lock_guard lk(mu_);
-    if (!core_->is_up()) return;
+    if (!host_.core().is_up()) return;
   }
   // Off the transport before taking mu_ for the crash: detach waits out a
   // delivery in progress, and that delivery may be waiting for mu_.
   net_.detach(self_);
   std::lock_guard lk(mu_);
-  if (!core_->is_up()) return;  // an overlapping crash() got here first
+  if (!host_.core().is_up()) return;  // an overlapping crash() got here first
   attached_ = false;
-  core_->crash();
+  host_.crash();  // its deadlines and stores now name a dead incarnation
   recorder_.crash(self_, wall_now);
   cv_.notify_all();  // wake any waiter; it observes the crash and aborts
 }
 
 void node::recover() {
   std::unique_lock lk(mu_);
-  if (core_->is_up()) throw precondition_error("node: recover() while up");
+  if (host_.core().is_up()) throw precondition_error("node: recover() while up");
+  const time_ns until = opt_.op_timeout > 0 ? wall_now() + opt_.op_timeout : forever;
   recorder_.recover(self_, wall_now);
   recovery_done_ = false;
   net_.attach(self_, [this](const proto::message& m) { on_datagram(m); });
   attached_ = true;
-  proto::outputs out;
-  core_->recover(rng_.next_u64(), out);
-  pump(lk, out);
-
-  const time_ns start = wall_now();
-  while (!recovery_done_) {
-    if (opt_.op_timeout > 0 && wall_now() - start > opt_.op_timeout) {
-      throw driver_error("node: recovery timed out (majority unreachable?)");
-    }
-    const time_ns delay = armed_delay_ > 0 ? armed_delay_ : opt_.retransmit_check;
-    if (cv_.wait_for(lk, ns(delay)) == std::cv_status::timeout) {
-      proto::outputs out2;
-      core_->on_timer(armed_timer_, out2);
-      pump(lk, out2);
-    }
-  }
+  feed(lk, [&] {
+    std::lock_guard io(store_mu_);  // recovery reads the stable records
+    host_.recover(rng_.next_u64());
+  });
+  wait(lk, until, [this] { return recovery_done_; });
 }
 
 }  // namespace remus::runtime

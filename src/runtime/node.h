@@ -3,32 +3,34 @@
 // Mirrors the paper's per-workstation process (section V-A): a listener
 // serving protocol messages (here: transport callbacks) and a client thread
 // invoking operations (here: the caller of read()/write(), which blocks until
-// the operation completes — the "repeat until majority acks" loop). Stores
-// are synchronous on the executing thread, so a listener writing its log
-// blocks exactly like the paper's implementation.
+// the operation completes — the "repeat until majority acks" loop). The node
+// is the threaded environment of a proto::host, as the simulator's nodes are:
+// stores run after their batch's sends, outside the node mutex, on the thread
+// whose input issued them; passed lease deadlines fire before the next input;
+// a blocked caller services the retransmission deadline. op_timeout ends a
+// caller's wait, not its operation: the reply is recorded at completion, and
+// the node's next call waits for it first.
 #pragma once
 
 #include <condition_variable>
-#include <memory>
+#include <functional>
 #include <mutex>
-#include <optional>
+#include <queue>
 #include <vector>
 
 #include "history/recorder.h"
-#include "proto/quorum_core.h"
+#include "proto/host.h"
 #include "runtime/transport.h"
 #include "storage/stable_store.h"
 
 namespace remus::runtime {
 
 struct node_options {
-  /// Client retransmission period (bounded so lossy transports make progress).
-  time_ns retransmit_check = 20 * 1000 * 1000;
-  /// Give up on an operation after this long (0 = wait forever).
+  /// A call stops waiting after this long (0 = wait forever).
   time_ns op_timeout = 10ll * 1000 * 1000 * 1000;
 };
 
-class node {
+class node final : private proto::host_env {
  public:
   /// `store` must outlive the node. The recorder may be shared (thread-safe).
   node(proto::protocol_policy pol, process_id self, std::uint32_t n,
@@ -57,23 +59,48 @@ class node {
   void recover();
 
   [[nodiscard]] bool is_up() const;
-  [[nodiscard]] process_id id() const { return self_; }
-  [[nodiscard]] tag replica_tag() const;
 
  private:
-  void on_datagram(const proto::message& m);
-  /// Executes one effect batch; performs stores synchronously and feeds the
-  /// resulting on_log_done back into the core. Must be called with mu_ held;
-  /// may unlock around network sends.
-  void pump(std::unique_lock<std::mutex>& lk, proto::outputs& out);
-  void await_completion(std::unique_lock<std::mutex>& lk, std::uint64_t op_seq);
-  /// Invokes a one-register read or write (`v` ignored for reads), records
-  /// its invocation, and blocks until its outcome.
+  struct deadline {
+    time_ns at = 0;
+    std::uint64_t token = 0;  // 0 = none
+    std::uint64_t incarnation = 0;
+    friend bool operator>(const deadline& a, const deadline& b) { return a.at > b.at; }
+  };
+  struct pending_store {
+    proto::log_request lr;
+    std::uint64_t incarnation = 0;
+  };
+
+  // proto::host_env, called under mu_ from inside a host input.
+  void store(proto::log_request& lr, std::uint64_t incarnation) override;
+  void send(process_id to, const proto::message& m) override;
+  void broadcast(const proto::message& m) override;
+  void arm(proto::deadline_kind k, const proto::timer_request& t,
+           std::uint64_t incarnation) override;
+  void completed(proto::op_outcome& oc) override;
+  void recovered() override;
+
+  /// Feeds the host `input` under `lk`, then runs the stores it issued,
+  /// unlocking around each and feeding back its completion.
+  template <class Input>
+  void feed(std::unique_lock<std::mutex>& lk, Input&& input);
+  /// Before each host input: collect its stores into `stores`, read the
+  /// clock, and fire the lease deadlines that have passed.
+  void begin_input(std::vector<pending_store>& stores);
+  /// Blocks until `done()`, servicing the retransmission deadline. Throws
+  /// operation_aborted on a crash and driver_error at `until`.
+  template <class Done>
+  void wait(std::unique_lock<std::mutex>& lk, time_ns until, Done&& done);
+  /// Invokes a one-register read or write (`v` ignored for reads) and
+  /// blocks until its outcome.
   proto::op_outcome run_op(std::unique_lock<std::mutex>& lk, bool is_read, register_id reg,
                            const value& v);
+  void on_datagram(const proto::message& m);
 
   const process_id self_;
   const std::uint32_t n_;
+  storage::stable_store& store_;
   transport& net_;
   history::recorder& recorder_;
   node_options opt_;
@@ -81,13 +108,22 @@ class node {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::unique_ptr<proto::quorum_core> core_;
-  std::optional<proto::op_outcome> last_outcome_;
+  /// Stores run outside mu_, and a core reads or erases records directly in
+  /// recover() and at a lease expiry: this serializes them.
+  std::mutex store_mu_;
+  proto::host host_;
+  std::vector<pending_store>* stores_ = nullptr;  // set by begin_input()
+  /// Read before each input; its deadlines count from it, so a holder's lease
+  /// starts before its grant is sent and outlives no grantor's record.
+  time_ns now_ = 0;
+  deadline retransmit_;
+  std::priority_queue<deadline, std::vector<deadline>, std::greater<>> leases_;
+  time_ns wake_at_;               // earliest time a blocked caller wakes
   std::vector<proto::batch_entry> op_entries_;  // the invocation's one entry
+  proto::op_outcome outcome_;
+  bool op_running_ = false;
   bool recovery_done_ = false;
   bool attached_ = false;
-  std::uint64_t armed_timer_ = 0;  // latest timer token requested by the core
-  time_ns armed_delay_ = 0;
 };
 
 }  // namespace remus::runtime

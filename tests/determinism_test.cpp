@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "core/cluster.h"
+#include "core/shard_router.h"
 #include "history/tag_order.h"
 #include "proto/policy.h"
 #include "sim/fault_plan.h"
+#include "sim/kv_workload.h"
 
 namespace remus::core {
 namespace {
@@ -103,14 +105,18 @@ TEST(Determinism, SameSeedSameHistoryCrashHeavy) {
   }
 }
 
-/// FNV-1a over every field of the history and of the tagged operations.
-std::uint64_t run_digest(const cluster& c) {
+void fnv_mix(std::uint64_t& h, std::uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ULL;
+  }
+}
+
+/// FNV-1a over every field of the history and of the tagged operations of
+/// a cluster or a shard router.
+template <class Run>
+std::uint64_t run_digest(const Run& c) {
   std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((x >> (8 * i)) & 0xff)) * 1099511628211ULL;
-    }
-  };
+  const auto mix = [&h](std::uint64_t x) { fnv_mix(h, x); };
   const auto mix_value = [&mix](const value& v) {
     mix(v.data.size());
     for (const std::uint8_t b : v.data) mix(b);
@@ -154,6 +160,149 @@ TEST(Determinism, SingleKeyRunsKeepTheirPinnedDigest) {
     EXPECT_EQ(run_digest(c), p.digest) << "seed " << p.seed << " digest 0x" << std::hex
                                        << run_digest(c);
   }
+}
+
+/// Read leases with a short duration over a WAL-backed cluster: hot
+/// single-key reads take grants and hits, the clock expires them, and
+/// single-key and batched writes over several registers revoke them, while
+/// corrupt-tail crashes tear in-flight WAL frames.
+cluster_config make_leased_cfg(std::uint64_t seed) {
+  cluster_config cfg = make_cfg(seed);
+  cfg.wal_storage = true;
+  cfg.policy.read_leases = true;
+  cfg.policy.lease_duration = 3_ms;
+  return cfg;
+}
+
+void drive_leased(cluster& c, std::uint64_t seed) {
+  rng r(seed ^ 0x1ea5edULL);
+  std::uint32_t v = 1;
+  for (time_ns t = 0; t < 150_ms; t += 2_ms) {
+    for (std::uint32_t p = 0; p < c.size(); ++p) {
+      const time_ns at = t + static_cast<time_ns>(r.next_below(1'500'000));
+      const auto reg = static_cast<register_id>(r.next_below(4));
+      switch (r.next_below(8)) {
+        case 0:
+          c.submit_write(process_id{p}, reg, value_of_u32(v++), at);
+          break;
+        case 1: {
+          std::vector<proto::write_op> ops;
+          for (std::uint32_t k = 0; k < 3; ++k) {
+            ops.push_back({reg + 4 * k, value_of_u32(v++)});
+          }
+          c.submit_write_batch(process_id{p}, ops, at);
+          break;
+        }
+        case 2:
+          c.submit_read_batch(process_id{p}, {reg, reg + 4, reg + 8}, at);
+          break;
+        default:
+          c.submit_read(process_id{p}, reg, at);
+          break;
+      }
+    }
+  }
+  sim::random_plan_config pc;
+  pc.n = c.size();
+  pc.crashes = 6;
+  pc.horizon = 130_ms;
+  pc.min_down = 5_ms;
+  pc.max_down = 20_ms;
+  rng fr(seed ^ 0xfa117ULL);
+  for (const auto& e : sim::make_random_plan(pc, fr).events) {
+    if (e.kind == sim::fault_kind::crash) {
+      c.submit_crash(e.target, e.at, crash_style::corrupt_tail);
+    } else {
+      c.submit_recover(e.target, e.at);
+    }
+  }
+  ASSERT_TRUE(c.run_until_idle());
+}
+
+TEST(Determinism, LeasedWalRunsKeepTheirPinnedDigest) {
+  // Pins leases, batches and WAL crash recovery together: any change to
+  // the order in which a driver executes a core's effects (stores, sends,
+  // retransmission and lease deadlines) moves an event time and so this
+  // digest.
+  struct pin {
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  for (const pin& p : {pin{5, 0x3bf012e19f85ec42ULL}, pin{8, 0x0d4d0496e1bcbb82ULL}}) {
+    cluster c(make_leased_cfg(p.seed));
+    drive_leased(c, p.seed);
+    std::uint64_t grants = 0, hits = 0, expiries = 0, recoveries = 0;
+    for (std::uint32_t i = 0; i < c.size(); ++i) {
+      const auto& b = c.core_of(process_id{i}).branches();
+      grants += b.lease_grants;
+      hits += b.leased_read_hits;
+      expiries += b.lease_expiries;
+      recoveries += b.recovery_finish_writes;
+    }
+    EXPECT_GT(grants, 0u) << "seed " << p.seed;
+    EXPECT_GT(hits, 0u) << "seed " << p.seed;
+    EXPECT_GT(expiries, 0u) << "seed " << p.seed;
+    EXPECT_GT(recoveries, 0u) << "seed " << p.seed;
+    EXPECT_EQ(run_digest(c), p.digest) << "seed " << p.seed << " digest 0x" << std::hex
+                                       << run_digest(c);
+  }
+}
+
+TEST(Determinism, GrowingRouterRunKeepsItsPinnedDigest) {
+  // A 2-shard router grows to 3 mid-workload: the digest covers the merged
+  // history, the tagged operations and the migration schedule.
+  shard_router_config cfg;
+  cfg.shards = 2;
+  cfg.base = make_cfg(17);
+  cfg.base.n = 3;
+  cfg.base.wal_storage = true;
+  shard_router r(cfg);
+  sim::kv_workload_config wc;
+  wc.n = 3;
+  wc.key_count = 64;
+  wc.ops = 300;
+  wc.batch_size = 1;
+  wc.seed = 17;
+  for (const auto& op : sim::make_kv_workload(wc)) {
+    if (op.is_read) {
+      r.submit_read(op.p, op.entries[0].reg, op.at);
+    } else {
+      r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at);
+    }
+  }
+  wc.batch_size = 4;
+  wc.ops = 60;
+  wc.seed = 18;
+  wc.value_base = 1'000'000;
+  for (const auto& op : sim::make_kv_workload(wc)) {
+    std::vector<register_id> regs;
+    std::vector<proto::write_op> ops;
+    for (const auto& e : op.entries) {
+      regs.push_back(e.reg);
+      ops.push_back({e.reg, e.val});
+    }
+    if (op.is_read) {
+      r.submit_read_batch(op.p, regs, op.at);
+    } else {
+      r.submit_write_batch(op.p, ops, op.at);
+    }
+  }
+  r.run_for(8_ms);
+  r.begin_add_shard();
+  ASSERT_TRUE(r.run_until_idle());
+  ASSERT_TRUE(r.migration_drained());
+  r.finish_add_shard();
+  ASSERT_GT(r.migration_log().size(), 0u);
+
+  std::uint64_t h = run_digest(r);
+  for (const shard_router::migration_event& m : r.migration_log()) {
+    fnv_mix(h, m.reg);
+    fnv_mix(h, m.from_shard);
+    fnv_mix(h, m.to_shard);
+    fnv_mix(h, static_cast<std::uint64_t>(m.at));
+    fnv_mix(h, static_cast<std::uint64_t>(m.why));
+  }
+  EXPECT_EQ(h, 0xbd8499b824e03501ULL) << "digest 0x" << std::hex << h;
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

@@ -536,7 +536,6 @@ TEST(TcpQuorum, WriteReadCrashRecoverStaysAtomic) {
   std::vector<std::unique_ptr<tcp_transport>> nets;
   std::vector<std::unique_ptr<node>> nodes;
   node_options nopt;
-  nopt.retransmit_check = 5 * 1000 * 1000;
   nopt.op_timeout = 20ll * 1000 * 1000 * 1000;
   for (std::uint32_t i = 0; i < n; ++i) {
     stores.push_back(std::make_unique<storage::memory_store>());

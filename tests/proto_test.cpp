@@ -836,78 +836,105 @@ message batched_write_ack(std::uint32_t p, const message& w,
 }
 
 TEST(BatchRetransmission, TrimmedAndFullRepeatsMatchTheSettlementRules) {
-  for (const bool trim : {true, false}) {
-    storage::memory_store store;
-    protocol_policy pol = persistent_policy();
-    pol.trim_batch_retransmit = trim;
-    quorum_core core(pol, process_id{0}, kN, store, 1);
-    {
-      outputs out;
-      core.start(out);
-    }
+  storage::memory_store store;
+  quorum_core core(persistent_policy(), process_id{0}, kN, store, 1);
+  {
     outputs out;
-    core.invoke_write({{10, {}, value_of_u32(1)}, {20, {}, value_of_u32(2)}}, out);
-    const message query = out.broadcasts[0].msg;
-    outputs out2;
-    for (std::uint32_t p = 1; p <= kMajority; ++p) {
-      message a = sn_ack_from(p, query, 0);
-      a.entries = {{10, tag{}, value{}}, {20, tag{}, value{}}};
-      core.on_message(a, out2);
-    }
-    std::vector<std::uint64_t> tokens;
-    for (const log_request& lr : out2.logs) tokens.push_back(lr.token);
-    outputs out3;
-    for (const std::uint64_t t : tokens) core.on_log_done(t, out3);
-    ASSERT_EQ(out3.broadcasts.size(), 1u);
-    const message w = out3.broadcasts[0].msg;
-    ASSERT_EQ(out3.timers.size(), 1u);
-    const std::uint64_t retrans_token = out3.timers[0].token;
-
-    // p1 fully acks; p2 acks only register 10.
-    outputs acks;
-    core.on_message(batched_write_ack(1, w, {10, 20}), acks);
-    core.on_message(batched_write_ack(2, w, {10}), acks);
-    EXPECT_FALSE(acks.completion.has_value());
-
-    outputs rt;
-    core.on_timer(retrans_token, rt);
-    if (trim) {
-      // p1 covered everything -> silent. p2 gets only register 20. The
-      // others (including the writer's own listener, p0) get both: neither
-      // register is settled yet (10 has 2 of 3 votes, 20 has 1).
-      ASSERT_EQ(rt.sends.size(), 4u);
-      for (const send_request& s : rt.sends) {
-        if (s.to == process_id{2}) {
-          ASSERT_EQ(s.msg.entries.size(), 1u);
-          EXPECT_EQ(s.msg.entries[0].reg, 20u);
-          EXPECT_EQ(s.msg.entries[0].val, value_of_u32(2));  // payload rides along
-          // One entry travels in the header: no entry framing on the wire.
-          EXPECT_EQ(wire_size(s.msg), 65u + 4u);
-        } else {
-          EXPECT_EQ(s.msg.entries.size(), 2u);
-        }
-      }
-    } else {
-      // Pre-optimization behavior: the full batch to every non-responder
-      // (p2 answered partially, so it still counts as silent).
-      ASSERT_EQ(rt.sends.size(), 4u);
-      for (const send_request& s : rt.sends) {
-        EXPECT_EQ(s.msg.entries.size(), 2u);
-      }
-    }
-
-    // Completion is per-register majorities: after p3's full ack, register
-    // 10 has {p1, p2, p3} but 20 only {p1, p3} — still open. p4's *trimmed*
-    // ack covering just {20} settles it and completes the batch.
-    outputs fin;
-    core.on_message(batched_write_ack(3, w, {10, 20}), fin);
-    EXPECT_FALSE(fin.completion.has_value());
-    core.on_message(batched_write_ack(4, w, {20}), fin);
-    ASSERT_TRUE(fin.completion.has_value());
-    ASSERT_EQ(fin.completion->entries.size(), 2u);
-    EXPECT_EQ(fin.completion->entries[0].reg, 10u);
-    EXPECT_EQ(fin.completion->entries[1].reg, 20u);
+    core.start(out);
   }
+  outputs out;
+  core.invoke_write({{10, {}, value_of_u32(1)}, {20, {}, value_of_u32(2)}}, out);
+  const message query = out.broadcasts[0].msg;
+  outputs out2;
+  for (std::uint32_t p = 1; p <= kMajority; ++p) {
+    message a = sn_ack_from(p, query, 0);
+    a.entries = {{10, tag{}, value{}}, {20, tag{}, value{}}};
+    core.on_message(a, out2);
+  }
+  std::vector<std::uint64_t> tokens;
+  for (const log_request& lr : out2.logs) tokens.push_back(lr.token);
+  outputs out3;
+  for (const std::uint64_t t : tokens) core.on_log_done(t, out3);
+  ASSERT_EQ(out3.broadcasts.size(), 1u);
+  const message w = out3.broadcasts[0].msg;
+  ASSERT_EQ(out3.timers.size(), 1u);
+  const std::uint64_t retrans_token = out3.timers[0].token;
+
+  // p1 fully acks; p2 acks only register 10.
+  outputs acks;
+  core.on_message(batched_write_ack(1, w, {10, 20}), acks);
+  core.on_message(batched_write_ack(2, w, {10}), acks);
+  EXPECT_FALSE(acks.completion.has_value());
+
+  // p1 covered everything -> silent. p2 gets only register 20. The others
+  // (including the writer's own listener, p0) get both: neither register
+  // is settled yet (10 has 2 of 3 votes, 20 has 1).
+  outputs rt;
+  core.on_timer(retrans_token, rt);
+  ASSERT_EQ(rt.sends.size(), 4u);
+  for (const send_request& s : rt.sends) {
+    if (s.to == process_id{2}) {
+      ASSERT_EQ(s.msg.entries.size(), 1u);
+      EXPECT_EQ(s.msg.entries[0].reg, 20u);
+      EXPECT_EQ(s.msg.entries[0].val, value_of_u32(2));  // payload rides along
+      // One entry travels in the header: no entry framing on the wire.
+      EXPECT_EQ(wire_size(s.msg), 65u + 4u);
+    } else {
+      EXPECT_EQ(s.msg.entries.size(), 2u);
+    }
+  }
+
+  // Completion is per-register majorities: after p3's full ack, register
+  // 10 has {p1, p2, p3} but 20 only {p1, p3} — still open. p4's *trimmed*
+  // ack covering just {20} settles it and completes the batch.
+  outputs fin;
+  core.on_message(batched_write_ack(3, w, {10, 20}), fin);
+  EXPECT_FALSE(fin.completion.has_value());
+  core.on_message(batched_write_ack(4, w, {20}), fin);
+  ASSERT_TRUE(fin.completion.has_value());
+  ASSERT_EQ(fin.completion->entries.size(), 2u);
+  EXPECT_EQ(fin.completion->entries[0].reg, 10u);
+  EXPECT_EQ(fin.completion->entries[1].reg, 20u);
+}
+
+// ---------- Read leases ----------
+
+TEST(Leases, LeasedHitReportsItsOwnOp) {
+  // A read served locally under a lease is an operation of its own:
+  // current_op_seq() names it, as it names every other op once invoked.
+  storage::memory_store store;
+  protocol_policy pol = persistent_policy();
+  pol.read_leases = true;
+  pol.lease_hot_read_threshold = 0;  // the first read is a grant round
+  quorum_core core(pol, process_id{0}, kN, store, 1);
+  outputs out;
+  core.start(out);
+  core.invoke_read(one(), out);
+  ASSERT_EQ(out.broadcasts.size(), 1u);
+  const message grant = out.broadcasts[0].msg;
+  ASSERT_EQ(grant.kind, msg_kind::lease_grant);
+  outputs acks;
+  for (std::uint32_t p = 1; p <= kMajority; ++p) {
+    message a = read_ack_from(p, grant, initial_tag, initial_value());
+    a.kind = msg_kind::lease_grant_ack;
+    core.on_message(a, acks);
+  }
+  ASSERT_EQ(acks.broadcasts.size(), 1u);
+  const message writeback = acks.broadcasts[0].msg;
+  outputs granted;
+  for (std::uint32_t p = 1; p <= kMajority; ++p) {
+    core.on_message(write_ack_from(p, writeback, 1), granted);
+  }
+  ASSERT_TRUE(granted.completion.has_value());
+  ASSERT_EQ(core.branches().lease_grants, 1u);
+
+  outputs hit;
+  core.invoke_read(one(), hit);
+  ASSERT_TRUE(hit.completion.has_value());
+  EXPECT_TRUE(hit.broadcasts.empty());
+  EXPECT_EQ(core.branches().leased_read_hits, 1u);
+  EXPECT_EQ(core.current_op_seq(), hit.completion->op_seq);
+  EXPECT_GT(hit.completion->op_seq, granted.completion->op_seq);
 }
 
 // ---------- One operation shape: where the single-key rule wins ----------

@@ -12,6 +12,7 @@
 
 #include "common/error.h"
 #include "history/atomicity.h"
+#include "history/wellformed.h"
 #include "runtime/service.h"
 #include "storage/memory_store.h"
 #include "storage/wal_store.h"
@@ -24,8 +25,7 @@ service_options fast_options(proto::protocol_policy pol, std::uint32_t n = 3) {
   service_options opt;
   opt.n = n;
   opt.policy = std::move(pol);
-  opt.node.retransmit_check = 5 * 1000 * 1000;            // 5 ms
-  opt.node.op_timeout = 20ll * 1000 * 1000 * 1000;        // generous CI margin
+  opt.node.op_timeout = 20ll * 1000 * 1000 * 1000;  // generous CI margin
   return opt;
 }
 
@@ -206,10 +206,90 @@ TEST(RuntimeCrashRecovery, MinorityCrashDoesNotBlockOthers) {
 TEST(RuntimeLossyTransport, RetransmissionMakesProgress) {
   service_options opt = fast_options(proto::persistent_policy());
   opt.net.drop_probability = 0.3;
-  opt.node.retransmit_check = 2 * 1000 * 1000;  // 2 ms
   service s(std::move(opt));
   s.write(process_id{0}, value_of_u32(9));
   EXPECT_EQ(s.read(process_id{1}), value_of_u32(9));
+}
+
+// ---------- What the runtime runs because the simulator does ----------
+
+constexpr time_ns kMs = 1000 * 1000;
+
+/// Persistent policy with read leases granted on a process's third quorum
+/// read of a register.
+service_options leased_options(time_ns lease_duration, time_ns op_timeout) {
+  service_options opt = fast_options(proto::persistent_policy());
+  opt.policy.read_leases = true;
+  opt.policy.lease_duration = lease_duration;
+  opt.node.op_timeout = op_timeout;
+  return opt;
+}
+
+/// Waits until the transport has sent nothing for 30 ms.
+void wait_quiet(const transport& net) {
+  std::uint64_t sent = net.datagrams_sent();
+  for (int quiet = 0; quiet < 30;) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::uint64_t now = net.datagrams_sent();
+    quiet = now == sent ? quiet + 1 : 0;
+    sent = now;
+  }
+}
+
+TEST(RuntimeLeases, HolderReadsLocallyWithNoFrames) {
+  service s(leased_options(/*lease_duration=*/10'000 * kMs, /*op_timeout=*/2'000 * kMs));
+  s.write(process_id{1}, value_of_u32(4));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(s.read(process_id{1}), value_of_u32(4));  // grants
+  wait_quiet(s.net());
+  const std::uint64_t frames = s.net().datagrams_sent();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(s.read(process_id{1}), value_of_u32(4));
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
+  EXPECT_EQ(s.net().datagrams_sent(), frames);
+  const auto verdict = history::check_persistent_atomicity(s.events());
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
+TEST(RuntimeLeases, CrashedHoldersLeaseExpiresForWriters) {
+  // p1 holds a lease on the register; each grantor's record names it. Once
+  // p1 crashes, a write can settle without p1's ack only after those
+  // records expire.
+  constexpr time_ns lease = 50 * kMs;
+  service s(leased_options(lease, /*op_timeout=*/2'000 * kMs));
+  s.write(process_id{0}, value_of_u32(1));
+  for (int i = 0; i < 3; ++i) EXPECT_EQ(s.read(process_id{1}), value_of_u32(1));
+  s.crash(process_id{1});
+  std::this_thread::sleep_for(std::chrono::nanoseconds(4 * lease));
+  s.write(process_id{0}, value_of_u32(2));
+  EXPECT_EQ(s.read(process_id{2}), value_of_u32(2));
+  const auto verdict = history::check_persistent_atomicity(s.events());
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
+}
+
+TEST(RuntimeTimeouts, TimedOutOperationFinishesBeforeTheNextOne) {
+  // A write that times out without a majority keeps running; once the
+  // majority is back, the next call at that node waits for it and runs.
+  service_options opt = fast_options(proto::persistent_policy());
+  opt.node.op_timeout = 300 * kMs;
+  service s(std::move(opt));
+  s.crash(process_id{1});
+  s.crash(process_id{2});
+  EXPECT_THROW(s.write(process_id{0}, value_of_u32(1)), driver_error);
+  s.recover(process_id{1});
+  s.recover(process_id{2});
+  s.write(process_id{0}, value_of_u32(2));
+  EXPECT_EQ(s.read(process_id{0}), value_of_u32(2));
+  const history::history_log h = s.events();
+  const auto wf = history::check_well_formed(h);
+  EXPECT_TRUE(wf.ok) << wf.explanation;
+  // Both writes completed: the timed-out one's reply is in the history too.
+  EXPECT_EQ(std::count_if(h.begin(), h.end(),
+                          [](const history::event& e) {
+                            return e.kind == history::event_kind::reply_write;
+                          }),
+            2);
+  const auto verdict = history::check_persistent_atomicity(h);
+  EXPECT_TRUE(verdict.ok) << verdict.explanation;
 }
 
 TEST(RuntimeDurableFiles, StateSurvivesOnDisk) {
