@@ -214,45 +214,55 @@ int main(int argc, char** argv) {
   // the same run.
   std::uint64_t trim_retrans_sent = 0;
   std::uint64_t trim_retrans_full = 0;
-  // The read-lease pair, for the smoke gates.
-  kv_result unleased_best, leased_best;
+  // The read-lease pair, for the gates. Wall-clock figures (ops/s,
+  // events/s, the leased speedup) come from each case's fastest repetition;
+  // everything else, the byte and trim gates included, from its seed-1
+  // repetition, so two runs of one binary agree on every other key.
+  kv_result unleased_fastest, leased_fastest, unleased_seed1, leased_seed1;
   for (const kv_case& kc : cases) {
-    kv_result best;
+    kv_result fastest, seed1;
     for (int i = 0; i < reps; ++i) {
       const auto r = run_case(kc, ops, 1 + static_cast<std::uint64_t>(i));
-      if (r.keyed_ops_per_sec > best.keyed_ops_per_sec || i == 0) best = r;
+      if (r.keyed_ops_per_sec > fastest.keyed_ops_per_sec || i == 0) fastest = r;
+      if (i == 0) seed1 = r;
       if (r.verified && !r.atomic) all_atomic = false;
     }
     const std::string prefix = kc.name;
     if (prefix == "k64_b8_lossy_trim") {
-      trim_retrans_sent = best.retransmit_bytes_sent;
-      trim_retrans_full = best.retransmit_bytes_full;
+      trim_retrans_sent = seed1.retransmit_bytes_sent;
+      trim_retrans_full = seed1.retransmit_bytes_full;
     }
-    if (prefix == "k1024_zipf_rh_b1") unleased_best = best;
-    if (prefix == "k1024_zipf_rh_b1_leased") leased_best = best;
-    t.add_row({kc.name, metrics::table::num(best.keyed_ops_per_sec, 0),
-               metrics::table::num(best.events_per_sec / 1e6, 2),
-               metrics::table::num(static_cast<double>(best.completed_keyed_ops), 0),
-               metrics::table::num(best.wall_ms, 1),
-               metrics::table::num(static_cast<double>(best.net_bytes) / 1e6, 2),
-               best.verified ? (best.atomic ? "yes" : "NO") : "-"});
-    rep.set(prefix + "_keyed_ops_per_sec", best.keyed_ops_per_sec);
-    rep.set(prefix + "_events_per_sec", best.events_per_sec);
+    if (prefix == "k1024_zipf_rh_b1") {
+      unleased_fastest = fastest;
+      unleased_seed1 = seed1;
+    }
+    if (prefix == "k1024_zipf_rh_b1_leased") {
+      leased_fastest = fastest;
+      leased_seed1 = seed1;
+    }
+    t.add_row({kc.name, metrics::table::num(fastest.keyed_ops_per_sec, 0),
+               metrics::table::num(fastest.events_per_sec / 1e6, 2),
+               metrics::table::num(static_cast<double>(seed1.completed_keyed_ops), 0),
+               metrics::table::num(fastest.wall_ms, 1),
+               metrics::table::num(static_cast<double>(seed1.net_bytes) / 1e6, 2),
+               seed1.verified ? (seed1.atomic ? "yes" : "NO") : "-"});
+    rep.set(prefix + "_keyed_ops_per_sec", fastest.keyed_ops_per_sec);
+    rep.set(prefix + "_events_per_sec", fastest.events_per_sec);
     rep.set(prefix + "_completed_keyed_ops",
-            static_cast<double>(best.completed_keyed_ops));
-    rep.set(prefix + "_net_bytes", static_cast<double>(best.net_bytes));
-    rep.set(prefix + "_read_net_bytes", static_cast<double>(best.read_net_bytes));
-    rep.set(prefix + "_read_p50_us", best.read_p50_us);
-    rep.set(prefix + "_read_p99_us", best.read_p99_us);
-    rep.set(prefix + "_write_p50_us", best.write_p50_us);
-    rep.set(prefix + "_write_p99_us", best.write_p99_us);
+            static_cast<double>(seed1.completed_keyed_ops));
+    rep.set(prefix + "_net_bytes", static_cast<double>(seed1.net_bytes));
+    rep.set(prefix + "_read_net_bytes", static_cast<double>(seed1.read_net_bytes));
+    rep.set(prefix + "_read_p50_us", seed1.read_p50_us);
+    rep.set(prefix + "_read_p99_us", seed1.read_p99_us);
+    rep.set(prefix + "_write_p50_us", seed1.write_p50_us);
+    rep.set(prefix + "_write_p99_us", seed1.write_p99_us);
     if (kc.leases) {
-      rep.set(prefix + "_leased_read_hits", static_cast<double>(best.leased_hits));
-      rep.set(prefix + "_lease_grants", static_cast<double>(best.lease_grants));
+      rep.set(prefix + "_leased_read_hits", static_cast<double>(seed1.leased_hits));
+      rep.set(prefix + "_lease_grants", static_cast<double>(seed1.lease_grants));
     }
-    if (best.verified) {
-      rep.set(prefix + "_atomic_per_key", best.atomic ? 1.0 : 0.0);
-      rep.set(prefix + "_keys_checked", static_cast<double>(best.keys_checked));
+    if (seed1.verified) {
+      rep.set(prefix + "_atomic_per_key", seed1.atomic ? 1.0 : 0.0);
+      rep.set(prefix + "_keys_checked", static_cast<double>(seed1.keys_checked));
     }
   }
   double retrans_saved_frac = 0.0;
@@ -266,21 +276,21 @@ int main(int argc, char** argv) {
   }
   double leased_speedup = 0.0;
   double leased_read_bytes_ratio = 1.0;
-  if (unleased_best.completed_keyed_ops > 0 && leased_best.completed_keyed_ops > 0) {
+  if (unleased_seed1.completed_keyed_ops > 0 && leased_seed1.completed_keyed_ops > 0) {
     leased_speedup =
-        leased_best.keyed_ops_per_sec / unleased_best.keyed_ops_per_sec;
+        leased_fastest.keyed_ops_per_sec / unleased_fastest.keyed_ops_per_sec;
     leased_read_bytes_ratio =
-        unleased_best.read_net_bytes > 0
-            ? static_cast<double>(leased_best.read_net_bytes) /
-                  static_cast<double>(unleased_best.read_net_bytes)
+        unleased_seed1.read_net_bytes > 0
+            ? static_cast<double>(leased_seed1.read_net_bytes) /
+                  static_cast<double>(unleased_seed1.read_net_bytes)
             : 1.0;
     rep.set("leased_speedup", leased_speedup);
     rep.set("leased_read_bytes_ratio", leased_read_bytes_ratio);
     std::printf("read leases: %.2fx keyed ops/s, %.0f%% fewer read wire bytes "
                 "(%llu leased hits, %llu grants)\n",
                 leased_speedup, 100.0 * (1.0 - leased_read_bytes_ratio),
-                static_cast<unsigned long long>(leased_best.leased_hits),
-                static_cast<unsigned long long>(leased_best.lease_grants));
+                static_cast<unsigned long long>(leased_seed1.leased_hits),
+                static_cast<unsigned long long>(leased_seed1.lease_grants));
   }
   std::printf("%s", t.render().c_str());
   std::printf("(keyed ops count per-register operations, so batch cases credit "

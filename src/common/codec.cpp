@@ -50,12 +50,17 @@ std::uint64_t byte_reader::get_u64() {
 }
 
 bytes byte_reader::get_bytes() {
+  bytes out;
+  get_bytes_into(out);
+  return out;
+}
+
+void byte_reader::get_bytes_into(bytes& out) {
   const auto n = get_u32();
   need(n);
-  bytes out(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
+  out.assign(buf_.begin() + static_cast<std::ptrdiff_t>(pos_),
+             buf_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
   pos_ += n;
-  return out;
 }
 
 std::string byte_reader::get_string() {

@@ -54,6 +54,8 @@ class byte_reader {
   [[nodiscard]] std::uint64_t get_u64();
   [[nodiscard]] std::int64_t get_i64() { return static_cast<std::int64_t>(get_u64()); }
   [[nodiscard]] bytes get_bytes();
+  /// get_bytes() into `out`, reusing its capacity.
+  void get_bytes_into(bytes& out);
   [[nodiscard]] std::string get_string();
   [[nodiscard]] process_id get_process() { return process_id{get_u32()}; }
   [[nodiscard]] tag get_tag();

@@ -27,19 +27,12 @@ class flat_hash_map {
   flat_hash_map() = default;
 
   /// Find the value for `k`, inserting a default-constructed one if absent.
-  Value& operator[](const Key& k) {
-    if (table_.empty() || size_ * 8 >= table_.size() * 7) grow();
-    std::size_t i = probe_start(k);
-    while (table_[i].used) {
-      if (table_[i].key == k) return table_[i].val;
-      i = (i + 1) & mask_;
-    }
-    table_[i].used = true;
-    table_[i].key = k;
-    table_[i].val = Value{};
-    ++size_;
-    return table_[i].val;
-  }
+  Value& operator[](const Key& k) { return find_or_insert(k, /*reset=*/true); }
+
+  /// operator[] for a caller that assigns the whole value: an inserted entry
+  /// is not reset, so it keeps the buffers of whatever value clear() left
+  /// at its table position (their contents are stale until assigned).
+  Value& slot_for_overwrite(const Key& k) { return find_or_insert(k, /*reset=*/false); }
 
   [[nodiscard]] Value* find(const Key& k) {
     if (table_.empty()) return nullptr;
@@ -108,6 +101,20 @@ class flat_hash_map {
     Value val{};
     bool used = false;
   };
+
+  Value& find_or_insert(const Key& k, bool reset) {
+    if (table_.empty() || size_ * 8 >= table_.size() * 7) grow();
+    std::size_t i = probe_start(k);
+    while (table_[i].used) {
+      if (table_[i].key == k) return table_[i].val;
+      i = (i + 1) & mask_;
+    }
+    table_[i].used = true;
+    table_[i].key = k;
+    if (reset) table_[i].val = Value{};
+    ++size_;
+    return table_[i].val;
+  }
 
   [[nodiscard]] std::size_t probe_start(const Key& k) const {
     return Hash{}(k)&mask_;

@@ -10,8 +10,11 @@
 // The price is a sharp contract: a slot from emplace_slot() holds an
 // arbitrary retired element's state, so the caller must assign every field a
 // reader may look at. push_back() (plain assignment) is always safe.
+// recycling_fifo is the same idea for a queue (the simulator's in-flight
+// stores).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -59,6 +62,49 @@ class recycling_vector {
  private:
   std::vector<T> items_;  // [0, live_) live, [live_, size) retired
   std::size_t live_ = 0;
+};
+
+/// A FIFO under the same contract: pop_front() retires the oldest element
+/// without destroying it, and push_slot() hands back a retired element
+/// whose every field the caller must assign.
+template <class T>
+class recycling_fifo {
+ public:
+  /// Append and return a slot that may carry a retired element's old state.
+  T& push_slot() {
+    if (size_ == items_.size()) {
+      // Full: rotate the oldest to the front, then grow at the end.
+      std::rotate(items_.begin(), items_.begin() + static_cast<std::ptrdiff_t>(head_),
+                  items_.end());
+      head_ = 0;
+      items_.emplace_back();
+    }
+    return items_[wrap(head_ + size_++)];
+  }
+
+  void pop_front() noexcept {
+    head_ = wrap(head_ + 1);
+    --size_;
+  }
+
+  /// Retire all elements, keeping them (and their buffers) for reuse.
+  void clear() noexcept {
+    head_ = 0;
+    size_ = 0;
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] T& front() { return items_[head_]; }
+  [[nodiscard]] T& back() { return items_[wrap(head_ + size_ - 1)]; }
+
+ private:
+  [[nodiscard]] std::size_t wrap(std::size_t i) const noexcept {
+    return i >= items_.size() ? i - items_.size() : i;
+  }
+
+  std::vector<T> items_;  // a ring: size_ live elements from head_
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace remus

@@ -292,8 +292,7 @@ void cluster::execute(sim::sim_event& ev) {
       deliver_message(ev.target, ev.msg);
       return;
     case sim::event_kind::log_done:
-      deliver_log_done(ev.target, ev.a, ev.log_key, ev.log_record, ev.log_obsoletes,
-                       ev.incarnation);
+      deliver_log_done(ev.target, ev.a, ev.incarnation);
       return;
     case sim::event_kind::timer:
       deliver_timer(ev.target, ev.a, ev.incarnation);
@@ -387,9 +386,7 @@ void cluster::deliver_message(process_id p, const proto::shared_message& mh) {
   nd.host.on_message(m);
 }
 
-void cluster::deliver_log_done(process_id p, std::uint64_t token, storage::record_key key,
-                               const bytes& record,
-                               std::span<const storage::record_key> obsoletes,
+void cluster::deliver_log_done(process_id p, std::uint64_t token,
                                std::uint64_t incarnation) {
   node& nd = nd_of(p);
   if (!nd.host.live(incarnation)) {
@@ -397,7 +394,12 @@ void cluster::deliver_log_done(process_id p, std::uint64_t token, storage::recor
     // conservative durability model the record never hit the platter.
     return;
   }
-  nd.stable->store_and_obsolete(key, record, obsoletes);  // durability point
+  if (nd.inflight.empty() || nd.inflight.front().token != token) {
+    throw driver_error("cluster: a store completed out of issue order");
+  }
+  const node::inflight_store& st = nd.inflight.front();
+  nd.stable->store_and_obsolete(st.key, st.record, st.obsoletes);  // durability point
+  nd.inflight.pop_front();
   nd.host.on_log_done(token, incarnation);
 }
 
@@ -444,16 +446,15 @@ void cluster::node::store(proto::log_request& lr, std::uint64_t incarnation) {
   } else if (node* o = c.op_owner(lr.origin, lr.epoch, lr.op_seq)) {
     o->attr_logs += 1;
   }
-  if (wal != nullptr) {
-    // Remember what this store will append, so a crash before done_at can
-    // tear exactly its frame bytes (do_crash).
-    last_log_key = lr.key;
-    last_log_record.assign(lr.record.begin(), lr.record.end());
-    last_log_obsoletes.assign(lr.obsoletes.begin(), lr.obsoletes.end());
-    last_log_done_at = done_at;
-  }
-  c.queue_.schedule_log_done(done_at, self, lr.token, incarnation, lr.key, lr.record,
-                             lr.obsoletes);
+  // The one copy of the record: it waits here until its log_done applies
+  // it, or a crash before done_at tears it (do_crash).
+  inflight_store& st = inflight.push_slot();
+  st.token = lr.token;
+  st.key = lr.key;
+  st.record.assign(lr.record.begin(), lr.record.end());
+  st.obsoletes.assign(lr.obsoletes.begin(), lr.obsoletes.end());
+  st.done_at = done_at;
+  c.queue_.schedule_plain(done_at, sim::event_kind::log_done, self, lr.token, incarnation);
 }
 
 void cluster::node::broadcast(const proto::message& m) {
@@ -653,17 +654,17 @@ void cluster::do_crash(process_id p, crash_style style) {
     // What the dying disk leaves behind. Only the non-durable tail is ever
     // touched: fsync-acked frames are sacred, so recovery's valid prefix
     // always contains every store the protocol was told is durable.
-    if (nd.last_log_done_at > now()) {
+    if (!nd.inflight.empty() && nd.inflight.back().done_at > now()) {
       // Cold path (crash injection): a strictly partial prefix of the
-      // in-flight store's frame image reached the medium. The image is the
-      // record frame plus a tombstone for every obsoleted key other than its
-      // own, absent keys included: its length feeds the rng draws below, so
-      // it must not depend on what the store would skip.
+      // newest in-flight store's frame image reached the medium. The image
+      // is the record frame plus a tombstone for every obsoleted key other
+      // than its own, absent keys included: its length feeds the rng draws
+      // below, so it must not depend on what the store would skip.
+      const node::inflight_store& st = nd.inflight.back();
       bytes torn;
-      storage::append_wal_frame(torn, storage::wal_frame_kind::record, nd.last_log_key,
-                                nd.last_log_record);
-      for (const storage::record_key& k : nd.last_log_obsoletes) {
-        if (k == nd.last_log_key) continue;
+      storage::append_wal_frame(torn, storage::wal_frame_kind::record, st.key, st.record);
+      for (const storage::record_key& k : st.obsoletes) {
+        if (k == st.key) continue;
         storage::append_wal_frame(torn, storage::wal_frame_kind::tombstone, k, {});
       }
       torn.resize(rng_.next_below(torn.size()));
@@ -679,8 +680,8 @@ void cluster::do_crash(process_id p, crash_style style) {
       storage::append_garbage(garbage, rng_, 1 + rng_.next_below(24));
       nd.wal->inject_tail_bytes(garbage);
     }
-    nd.last_log_done_at = 0;
   }
+  nd.inflight.clear();  // the in-flight stores never become durable
   recorder_.crash(p, now());
   if (nd.active_op) {
     // Invoked but unfinished: the op can never complete (recovery does not

@@ -25,9 +25,9 @@
 // traffic is typed events, not closures; broadcast payloads are pooled
 // refcounted messages shared by all n deliveries; attribution is a few
 // counters per process; and effect batches (pooled by each process's
-// proto::host), route buffers and unicast scratch are reused, so
-// steady-state execution performs no heap allocation in the simulation
-// substrate.
+// proto::host), in-flight store records, route buffers and unicast scratch
+// are reused, so steady-state execution performs no heap allocation in the
+// simulation substrate.
 #pragma once
 
 #include <atomic>
@@ -40,6 +40,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/recycling_vector.h"
 #include "core/config.h"
 #include "history/recorder.h"
 #include "history/tag_order.h"
@@ -260,15 +261,22 @@ class cluster final : private sim::sim_executor {
     storage::wal_store* wal = nullptr;
     proto::host host;
     sim::disk_model disk;
-    /// WAL engine only: what the last issued store will append, and when
-    /// it completes, so a crash before `last_log_done_at` can leave a torn
-    /// prefix of exactly the bytes that were mid-append. The frame image
-    /// itself is built only by such a crash (do_crash); the buffers keep
-    /// their capacity across stores.
-    storage::record_key last_log_key{};
-    bytes last_log_record;
-    std::vector<storage::record_key> last_log_obsoletes;
-    time_ns last_log_done_at = 0;
+    /// A store issued to the disk and not yet durable: what its log_done
+    /// event (which names only the token) applies to the stable store.
+    struct inflight_store {
+      std::uint64_t token = 0;
+      storage::record_key key{};
+      bytes record;
+      std::vector<storage::record_key> obsoletes;
+      time_ns done_at = 0;
+    };
+    /// In-flight stores, oldest first. The disk model completes a node's
+    /// stores in issue order, so each live log_done applies the front; a
+    /// crash empties the FIFO, and a completion for a dead incarnation
+    /// never touches it. The newest entry is also what a crash before its
+    /// `done_at` tears (WAL engine: do_crash frames it only then). Entries
+    /// keep their buffers' capacity across stores.
+    recycling_fifo<inflight_store> inflight;
     context client_ctx;
     context listener_ctx;
     bool up = true;  // the process is up, its core possibly still recovering
@@ -296,10 +304,7 @@ class cluster final : private sim::sim_executor {
   void handle_op_dispatch(const sim::sim_event& ev);
   void dispatch_next_op(process_id p);
   void deliver_message(process_id p, const proto::shared_message& mh);
-  void deliver_log_done(process_id p, std::uint64_t token, storage::record_key key,
-                        const bytes& record,
-                        std::span<const storage::record_key> obsoletes,
-                        std::uint64_t incarnation);
+  void deliver_log_done(process_id p, std::uint64_t token, std::uint64_t incarnation);
   void deliver_timer(process_id p, std::uint64_t token, std::uint64_t incarnation);
   void route_message(process_id from, const std::vector<process_id>& tos,
                      const proto::message& m);

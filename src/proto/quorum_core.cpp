@@ -940,16 +940,16 @@ void quorum_core::crash() {
 
 void quorum_core::restore_volatile_from_stable() {
   // Replay every register's (written) record; registers with no record
-  // restore to the initial value ⊥.
+  // restore to the initial value ⊥ (clear() leaves no slot live). Each
+  // record decodes straight into a slot, refilling the value buffer the
+  // slot's table position kept.
   replicas_.clear();
   std::int64_t max_sn = 0;
   store_.for_each(storage::record_area::written,
                   [&](register_id reg, const bytes& rec) {
-                    auto tv = decode_tagged_value(rec);
-                    replica_slot& rs = replicas_[reg];
-                    rs.vtag = tv.ts;
-                    rs.vval = std::move(tv.val);
-                    max_sn = std::max(max_sn, tv.ts.sn);
+                    replica_slot& rs = replicas_.slot_for_overwrite(reg);
+                    decode_tagged_value_into(rec, rs.vtag, rs.vval);
+                    max_sn = std::max(max_sn, rs.vtag.sn);
                   });
   wsn_ = max_sn;
   // Grantor registry: every durably-noted lease is restored so updates

@@ -20,12 +20,16 @@ void encode_tagged_value_into(bytes& out, const tag& ts, const value& val) {
 }
 
 tagged_value_record decode_tagged_value(const bytes& b) {
-  byte_reader r(b);
   tagged_value_record rec;
-  rec.ts = r.get_tag();
-  rec.val = r.get_value();
-  r.expect_done();
+  decode_tagged_value_into(b, rec.ts, rec.val);
   return rec;
+}
+
+void decode_tagged_value_into(const bytes& b, tag& ts, value& val) {
+  byte_reader r(b);
+  ts = r.get_tag();
+  r.get_bytes_into(val.data);
+  r.expect_done();
 }
 
 bytes encode(const lease_record& r) {

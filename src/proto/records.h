@@ -47,6 +47,9 @@ struct tagged_value_record {
 
 [[nodiscard]] bytes encode(const tagged_value_record& r);
 [[nodiscard]] tagged_value_record decode_tagged_value(const bytes& b);
+/// decode_tagged_value() into `ts` and `val`, reusing `val`'s capacity (the
+/// allocation-free path for restoring replica slots at recovery).
+void decode_tagged_value_into(const bytes& b, tag& ts, value& val);
 
 /// Encode (ts, val) into `out`, reusing its capacity — the allocation-free
 /// path for the per-operation "writing"/"written" logs (no record temporary,

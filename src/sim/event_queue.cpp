@@ -11,46 +11,63 @@ namespace {
 constexpr time_ns no_time = std::numeric_limits<time_ns>::max();
 }  // namespace
 
-event_queue::token event_queue::schedule_event(time_ns at, sim_event ev) {
+event_queue::token event_queue::schedule_at(time_ns at, action fn) {
   const auto [idx, s] = acquire_slot(at);
-  s->ev = std::move(ev);
-  return commit(at, idx);
+  std::uint32_t t;
+  if (free_thunks_.empty()) {
+    t = static_cast<std::uint32_t>(thunks_.size());
+    thunks_.push_back(std::move(fn));
+  } else {
+    t = free_thunks_.back();
+    free_thunks_.pop_back();
+    thunks_[t] = std::move(fn);
+  }
+  s->ev.kind = event_kind::thunk;
+  s->ev.a = t;
+  return commit(at, idx, *s);
 }
 
-void event_queue::ring_insert(const heap_entry& e, slot& s) {
+event_queue::action event_queue::take_thunk(const slot& s) {
+  const auto t = static_cast<std::uint32_t>(s.ev.a);
+  action fn = std::move(thunks_[t]);
+  thunks_[t] = nullptr;
+  free_thunks_.push_back(t);
+  return fn;
+}
+
+void event_queue::ring_insert(std::uint32_t idx, slot& s) {
   const std::uint32_t b =
-      static_cast<std::uint32_t>(static_cast<std::uint64_t>(e.at) >> bucket_shift) &
+      static_cast<std::uint32_t>(static_cast<std::uint64_t>(s.at) >> bucket_shift) &
       (ring_size - 1);
   bucket& bk = ring_[b];
-  if (bk.head == bk.v.size()) {  // becoming occupied
-    bk.v.clear();
-    bk.head = 0;
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  }
-  // Sorted insert from the back; in practice appends, since a bucket spans
-  // ~1 us and near-simultaneous events arrive in seq order.
-  bk.v.push_back(e);
-  for (std::size_t i = bk.v.size() - 1; i > bk.head && before(e, bk.v[i - 1]); --i) {
-    bk.v[i] = bk.v[i - 1];
-    bk.v[i - 1] = e;
-  }
   ++ring_count_;
   s.heap_pos = b;
+  // Sorted insert from the tail; in practice appends, since a bucket spans
+  // ~1 us and near-simultaneous events arrive in seq order.
+  if (bk.tail == npos || !before(s, slot_at(bk.tail))) {
+    if (append(bk, idx, s)) occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    return;
+  }
+  // Out of order: link it in before the first later entry, which exists
+  // (the tail is one).
+  std::uint32_t* link = &bk.head;
+  while (!before(s, slot_at(*link))) link = &slot_at(*link).next;
+  s.next = *link;
+  *link = idx;
 }
 
-void event_queue::commit_far(const heap_entry& e, slot& s, time_ns delta) {
+void event_queue::commit_far(std::uint32_t idx, slot& s, time_ns delta) {
   if (delta < w2_horizon) {
     const std::uint32_t b = static_cast<std::uint32_t>(
-        (static_cast<std::uint64_t>(e.at) >> w2_shift) & (w2_size - 1));
-    bucket& bk = w2_[b];
-    if (bk.v.empty()) w2_occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    bk.v.push_back(e);  // unsorted; the cascade into the ring orders it
+        (static_cast<std::uint64_t>(s.at) >> w2_shift) & (w2_size - 1));
+    // Unsorted append; the cascade into the ring orders it.
+    if (append(w2_[b], idx, s)) w2_occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
     ++w2_count_;
     s.heap_pos = b | w2_flag;
   } else {
     const std::uint32_t pos = static_cast<std::uint32_t>(far_.size());
     far_.emplace_back();
-    far_sift_up(pos, e);
+    far_sift_up(pos, heap_entry{s.at, s.seq, idx});
   }
 }
 
@@ -112,14 +129,39 @@ std::uint32_t event_queue::first_bucket() const {
   }
 }
 
-void event_queue::pop_bucket(std::uint32_t b) {
+bool event_queue::append(bucket& bk, std::uint32_t idx, slot& s) {
+  s.next = npos;
+  if (bk.tail == npos) {
+    bk.head = bk.tail = idx;
+    return true;
+  }
+  slot_at(bk.tail).next = idx;
+  bk.tail = idx;
+  return false;
+}
+
+std::uint32_t event_queue::pop_bucket(std::uint32_t b) {
   bucket& bk = ring_[b];
-  if (++bk.head == bk.v.size()) {
-    bk.v.clear();
-    bk.head = 0;
+  const std::uint32_t idx = bk.head;
+  bk.head = slot_at(idx).next;
+  if (bk.head == npos) {
+    bk.tail = npos;
     occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
   }
   --ring_count_;
+  return idx;
+}
+
+bool event_queue::unlink(bucket& bk, std::uint32_t idx) {
+  std::uint32_t prev = npos;
+  std::uint32_t* link = &bk.head;
+  while (*link != idx) {
+    prev = *link;
+    link = &slot_at(prev).next;
+  }
+  *link = slot_at(idx).next;
+  if (bk.tail == idx) bk.tail = prev;
+  return bk.head == npos;
 }
 
 void event_queue::advance_flush() {
@@ -133,10 +175,15 @@ void event_queue::advance_flush() {
   while (w2_flushed_ < target) {
     const std::uint32_t b = static_cast<std::uint32_t>(w2_flushed_ & (w2_size - 1));
     bucket& bk = w2_[b];
-    if (!bk.v.empty()) {
-      for (const heap_entry& e : bk.v) ring_insert(e, slot_at(e.idx));
-      w2_count_ -= bk.v.size();
-      bk.v.clear();
+    if (bk.head != npos) {
+      for (std::uint32_t idx = bk.head; idx != npos;) {
+        slot& s = slot_at(idx);
+        const std::uint32_t next = s.next;
+        ring_insert(idx, s);
+        --w2_count_;
+        idx = next;
+      }
+      bk.head = bk.tail = npos;
       w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     }
     ++w2_flushed_;
@@ -147,9 +194,9 @@ void event_queue::advance_flush() {
   // past it. The ring thus always holds a complete prefix of the schedule.
   const time_ns boundary = static_cast<time_ns>(w2_flushed_ << w2_shift);
   while (!far_.empty() && far_[0].at < boundary) {
-    const heap_entry e = far_[0];
+    const std::uint32_t idx = far_[0].idx;
     far_remove(0);
-    ring_insert(e, slot_at(e.idx));
+    ring_insert(idx, slot_at(idx));
   }
   // Next time a cascade can matter: the boundary moves into a new bucket.
   flush_due_ = boundary - far_horizon;
@@ -157,10 +204,7 @@ void event_queue::advance_flush() {
 
 time_ns event_queue::next_time() const {
   time_ns t = no_time;
-  if (ring_count_ != 0) {
-    const bucket& bk = ring_[first_bucket()];
-    t = bk.v[bk.head].at;
-  }
+  if (ring_count_ != 0) t = slot_at(ring_[first_bucket()].head).at;
   if (w2_count_ != 0 || !far_.empty()) t = std::min(t, next_band_time());
   return t;
 }
@@ -207,7 +251,8 @@ void event_queue::retire(std::uint32_t idx) {
   slot& s = slot_at(idx);
   s.heap_pos = npos;
   if (++s.gen == 0) s.gen = 1;  // keep tokens nonzero on generation wrap
-  free_.push_back(idx);
+  s.next = free_head_;
+  free_head_ = idx;
 }
 
 bool event_queue::cancel(token t) {
@@ -220,30 +265,16 @@ bool event_queue::cancel(token t) {
     far_remove(s.heap_pos & ~far_flag);
   } else if (s.heap_pos & w2_flag) {
     const std::uint32_t b = s.heap_pos & ~w2_flag;
-    bucket& bk = w2_[b];
-    for (std::size_t i = 0; i < bk.v.size(); ++i) {
-      if (bk.v[i].idx != idx) continue;
-      bk.v.erase(bk.v.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-    if (bk.v.empty()) w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    if (unlink(w2_[b], idx)) w2_occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     --w2_count_;
   } else {
     const std::uint32_t b = s.heap_pos;
-    bucket& bk = ring_[b];
-    for (std::size_t i = bk.head; i < bk.v.size(); ++i) {
-      if (bk.v[i].idx != idx) continue;
-      bk.v.erase(bk.v.begin() + static_cast<std::ptrdiff_t>(i));
-      break;
-    }
-    if (bk.head == bk.v.size()) {
-      bk.v.clear();
-      bk.head = 0;
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
+    if (unlink(ring_[b], idx)) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
     --ring_count_;
   }
-  s.ev = sim_event{};  // drop payload (closure, message ref, log buffers) now
+  // Drop the payload (closure, message reference) now.
+  if (s.ev.kind == event_kind::thunk) (void)take_thunk(s);
+  s.ev.msg.reset();
   retire(idx);
   return true;
 }
@@ -255,8 +286,8 @@ void event_queue::execute_slot(std::uint32_t idx) {
   s.heap_pos = npos;
   ++executed_;
   if (s.ev.kind == event_kind::thunk) {
-    s.ev.fn();
-    s.ev.fn = nullptr;  // drop the closure now, not at slot reuse
+    // Out of the side table first: the closure may schedule thunks itself.
+    take_thunk(s)();
   } else {
     executor_->execute(s.ev);
   }
@@ -273,11 +304,8 @@ bool event_queue::step() {
     }
   }
   const std::uint32_t b = first_bucket();
-  const bucket& bk = ring_[b];
-  const heap_entry& ne = bk.v[bk.head];
-  advance_clock(ne.at);
-  const std::uint32_t idx = ne.idx;
-  pop_bucket(b);
+  advance_clock(slot_at(ring_[b].head).at);
+  const std::uint32_t idx = pop_bucket(b);
   maybe_flush();  // keep the ring complete up to now() + far_horizon
   execute_slot(idx);
   return true;
@@ -305,12 +333,10 @@ std::uint64_t event_queue::run_until(time_ns deadline) {
     }
     {
       const std::uint32_t b = first_bucket();
-      const bucket& bk = ring_[b];
-      const heap_entry& ne = bk.v[bk.head];
-      if (ne.at > deadline) break;
-      advance_clock(ne.at);
-      const std::uint32_t idx = ne.idx;
-      pop_bucket(b);
+      const time_ns at = slot_at(ring_[b].head).at;
+      if (at > deadline) break;
+      advance_clock(at);
+      const std::uint32_t idx = pop_bucket(b);
       maybe_flush();
       execute_slot(idx);
       ++n;

@@ -5,7 +5,8 @@
 // Implementation notes (this is the hottest structure in the repo):
 //   * Events are a tagged union (sim_event) executed in place via the
 //     sim_executor interface — no per-event closure allocation, no move of
-//     the payload between scheduling and execution.
+//     the payload between scheduling and execution. A thunk's closure sits
+//     in a side table the event indexes, so every event is 32 bytes.
 //   * Three bands split traffic by horizon, hierarchical-timing-wheel
 //     style. Short-horizon events (protocol messages, disk completions —
 //     the churn) go to a calendar ring: 4096 one-microsecond buckets with
@@ -16,17 +17,22 @@
 //     multi-second schedules (fault plans) land in an overflow min-heap.
 //     Every event is popped from the ring in (timestamp, insertion-seq)
 //     order, so the schedule is exactly the single-queue order.
-//   * Payloads live in generation-stamped slots with stable addresses
+//   * Events live in generation-stamped slots with stable addresses
 //     (chunked arena); a token packs (slot, generation), making cancel() an
-//     O(1) validity check plus a cheap removal. The old implementation
-//     scanned a cancelled-token vector on every step.
+//     O(1) validity check plus a short bucket walk. A slot carries its
+//     event's sort key (time, seq) and a `next` link, and the ring's and
+//     the wheel's buckets are intrusive lists threaded through the slots (a
+//     bucket is a head/tail pair of slot indices), so a bucket costs no
+//     allocation however the clock sweeps the ring. Free slots are threaded
+//     through the same link. A slot is one 64-byte cache line: popping an
+//     event reads its sort key, its link and its payload from one line.
+//     Only the overflow heap keeps separate entries.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -47,12 +53,6 @@ class event_queue {
   /// any typed event fires; thunk-only users may skip it.
   void set_executor(sim_executor* ex) noexcept { executor_ = ex; }
 
-  /// Schedule a typed event at absolute time `at` (must be >= now()).
-  token schedule_event(time_ns at, sim_event ev);
-  token schedule_event_after(time_ns delay, sim_event ev) {
-    return schedule_event(now_ + delay, std::move(ev));
-  }
-
   // In-place typed scheduling: fills exactly the fields the kind's handler
   // reads, so the hot path never constructs or moves a full sim_event.
 
@@ -63,37 +63,18 @@ class event_queue {
     s->ev.kind = event_kind::message;
     s->ev.target = target;
     s->ev.msg = m;
-    return commit(at, idx);
+    return commit(at, idx, *s);
   }
   token schedule_message(time_ns at, process_id target, proto::shared_message&& m) {
     const auto [idx, s] = acquire_slot(at);
     s->ev.kind = event_kind::message;
     s->ev.target = target;
     s->ev.msg = std::move(m);
-    return commit(at, idx);
+    return commit(at, idx, *s);
   }
 
-  /// log_done: completion `tok` for `target`, guarded by `incarnation`.
-  /// The record (and the piggybacked obsolete-key list) is copied into the
-  /// slot's retained buffers (the caller's buffer is a recycled effect
-  /// slot — both sides keep their capacity). `obsoletes` must be assigned
-  /// even when empty: retired slots keep stale contents.
-  token schedule_log_done(time_ns at, process_id target, std::uint64_t tok,
-                          std::uint64_t incarnation, storage::record_key key,
-                          const bytes& record,
-                          std::span<const storage::record_key> obsoletes = {}) {
-    const auto [idx, s] = acquire_slot(at);
-    s->ev.kind = event_kind::log_done;
-    s->ev.target = target;
-    s->ev.a = tok;
-    s->ev.incarnation = incarnation;
-    s->ev.log_key = key;
-    s->ev.log_record = record;
-    s->ev.log_obsoletes.assign(obsoletes.begin(), obsoletes.end());
-    return commit(at, idx);
-  }
-
-  /// timer / op_dispatch / crash / recover: POD payloads only.
+  /// log_done / timer / op_dispatch / crash / recover / lease_expiry: POD
+  /// payloads only.
   token schedule_plain(time_ns at, event_kind k, process_id target,
                        std::uint64_t a = no_event_arg,
                        std::uint64_t incarnation = no_event_arg) {
@@ -102,16 +83,11 @@ class event_queue {
     s->ev.target = target;
     s->ev.a = a;
     s->ev.incarnation = incarnation;
-    return commit(at, idx);
+    return commit(at, idx, *s);
   }
 
   /// Schedule `fn` at absolute time `at` (generic-thunk fallback).
-  token schedule_at(time_ns at, action fn) {
-    sim_event ev;
-    ev.kind = event_kind::thunk;
-    ev.fn = std::move(fn);
-    return schedule_event(at, std::move(ev));
-  }
+  token schedule_at(time_ns at, action fn);
 
   /// Schedule `fn` `delay` after now().
   token schedule_after(time_ns delay, action fn) {
@@ -181,29 +157,37 @@ class event_queue {
   // far_horizon + one wheel bucket.
   static_assert(far_horizon + (time_ns{1} << w2_shift) < bucket_ns * ring_size);
 
-  struct slot {
+  struct alignas(64) slot {
+    time_ns at = 0;
+    std::uint64_t seq = 0;  // insertion order: ties run first-scheduled
     std::uint32_t gen = 1;  // stamped into tokens; bumped on retire
     /// npos = not queued; far_flag|pos = overflow-heap position;
     /// w2_flag|bucket = level-2 wheel bucket; else the masked ring bucket.
     std::uint32_t heap_pos = npos;
+    /// Next slot of its ring or wheel bucket, or of the free list.
+    std::uint32_t next = npos;
     sim_event ev{};
   };
+  static_assert(sizeof(slot) == 64, "one slot, one cache line");
 
-  /// Queue entries carry their sort key inline so ordering never chases the
-  /// slot table (these comparisons are the hottest loads in the simulator).
+  /// Overflow-heap entries carry their sort key inline so sifts never chase
+  /// the slot table.
   struct heap_entry {
     time_ns at = 0;
-    std::uint64_t seq = 0;  // insertion order: ties run first-scheduled
+    std::uint64_t seq = 0;
     std::uint32_t idx = 0;  // slot holding the payload
   };
 
-  /// One ring bucket: entries sorted by (at, seq), consumed from `head`.
+  /// One ring or wheel bucket: a list of slots linked through slot::next.
+  /// Ring buckets keep it sorted by (at, seq); wheel buckets keep
+  /// insertion order.
   struct bucket {
-    std::vector<heap_entry> v;
-    std::uint32_t head = 0;
+    std::uint32_t head = npos;
+    std::uint32_t tail = npos;
   };
 
-  [[nodiscard]] static bool before(const heap_entry& a, const heap_entry& b) {
+  template <class A, class B>
+  [[nodiscard]] static bool before(const A& a, const B& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
@@ -211,41 +195,45 @@ class event_queue {
   [[nodiscard]] slot& slot_at(std::uint32_t idx) {
     return chunks_[idx >> chunk_shift][idx & (chunk_size - 1)];
   }
+  [[nodiscard]] const slot& slot_at(std::uint32_t idx) const {
+    return chunks_[idx >> chunk_shift][idx & (chunk_size - 1)];
+  }
 
   /// Take a free slot for an event at `at` (throws on past times). Retired
-  /// slots are guaranteed to hold no closure and no message reference, so
-  /// typed fillers only assign the fields their kind's handler reads.
+  /// slots are guaranteed to hold no message reference, so typed fillers
+  /// only assign the fields their kind's handler reads.
   std::pair<std::uint32_t, slot*> acquire_slot(time_ns at) {
     if (at < now_) throw driver_error("event_queue: scheduling into the past");
     std::uint32_t idx;
-    if (free_.empty()) {
+    if (free_head_ == npos) {
       if ((slot_count_ & (chunk_size - 1)) == 0) {
         chunks_.push_back(std::make_unique<slot[]>(chunk_size));
       }
       idx = slot_count_++;
     } else {
-      idx = free_.back();
-      free_.pop_back();
+      idx = free_head_;
+      free_head_ = slot_at(idx).next;
     }
     return {idx, &slot_at(idx)};
   }
 
-  /// Insert the acquired slot into its band; returns its token.
-  token commit(time_ns at, std::uint32_t idx) {
-    const heap_entry e{at, next_seq_++, idx};
-    slot& s = slot_at(idx);
+  /// Stamp the acquired slot's sort key and insert it into its band;
+  /// returns its token.
+  token commit(time_ns at, std::uint32_t idx, slot& s) {
+    s.at = at;
+    s.seq = next_seq_++;
     const time_ns delta = at - now_;
     if (delta < far_horizon ||
         (static_cast<std::uint64_t>(at) >> w2_shift) < w2_flushed_) {
       // Imminent — or its wheel bucket already cascaded (the flush boundary
       // sits inside it), which still keeps it within the ring's safe span.
-      ring_insert(e, s);
+      ring_insert(idx, s);
     } else {
-      commit_far(e, s, delta);
+      commit_far(idx, s, delta);
     }
     return (static_cast<std::uint64_t>(idx) << 32) | s.gen;
   }
-  void commit_far(const heap_entry& e, slot& s, time_ns delta);
+  void commit_far(std::uint32_t idx, slot& s, time_ns delta);
 
   void far_sift_up(std::uint32_t pos, heap_entry e);
   void far_sift_down(std::uint32_t pos, heap_entry e);
@@ -253,8 +241,13 @@ class event_queue {
   /// Masked index of the first occupied ring bucket at or after now();
   /// call only when ring_count_ > 0.
   [[nodiscard]] std::uint32_t first_bucket() const;
-  void ring_insert(const heap_entry& e, slot& s);
-  void pop_bucket(std::uint32_t b);
+  void ring_insert(std::uint32_t idx, slot& s);
+  /// Links `idx` at the tail of `bk`; returns true when `bk` was empty.
+  bool append(bucket& bk, std::uint32_t idx, slot& s);
+  /// Unlinks the head of ring bucket `b` and returns its slot.
+  std::uint32_t pop_bucket(std::uint32_t b);
+  /// Unlinks `idx` from `bk`; returns true when the bucket became empty.
+  bool unlink(bucket& bk, std::uint32_t idx);
   /// Cascade wheel/overflow events into the ring as the clock approaches:
   /// through the wheel bucket holding now() + far_horizon, and every
   /// overflow event before the new flush boundary. The fast path is one
@@ -277,19 +270,24 @@ class event_queue {
   /// bound for the wheel; exact for the overflow heap).
   [[nodiscard]] time_ns next_band_time() const;
   void retire(std::uint32_t idx);
+  /// Moves thunk event `s`'s closure out of the side table, freeing its entry.
+  action take_thunk(const slot& s);
   void execute_slot(std::uint32_t idx);
 
   std::vector<std::unique_ptr<slot[]>> chunks_;  // stable slot storage
   std::uint32_t slot_count_ = 0;
-  std::vector<bucket> ring_{ring_size};
+  std::uint32_t free_head_ = npos;  // recycled slots, linked through next
+  std::vector<bucket> ring_ = std::vector<bucket>(ring_size);
   std::array<std::uint64_t, ring_size / 64> occupied_{};
   std::size_t ring_count_ = 0;
-  std::vector<bucket> w2_{w2_size};  // level-2 wheel (head unused; unsorted)
+  std::vector<bucket> w2_ = std::vector<bucket>(w2_size);  // level-2 wheel
   std::array<std::uint64_t, w2_size / 64> w2_occupied_{};
   std::size_t w2_count_ = 0;
   std::uint64_t w2_flushed_ = 0;     // absolute bucket: all before are empty
   std::vector<heap_entry> far_;      // 4-ary min-heap, multi-second overflow
-  std::vector<std::uint32_t> free_;  // recycled slot indices
+  /// Closures of pending thunk events, indexed by their event's `a`.
+  std::vector<action> thunks_;
+  std::vector<std::uint32_t> free_thunks_;
   sim_executor* executor_ = nullptr;
   /// Earliest now() at which a cascade could matter: far_horizon before
   /// the flush boundary (w2_flushed_'s bucket start). Maintained by

@@ -208,11 +208,19 @@ void wal_store::store_and_obsolete(record_key key, const bytes& record,
   // ONE durable append for the record plus its piggybacked obsolescence.
   media_->append_log(frame_buf_);
   log_bytes_ += frame_buf_.size();
-  apply_record(key, record);
+  // The index applies the tombstones first, so a new record refills a
+  // dropped record's buffer (a writer's pre-log takes over the one of the
+  // (writing) record it obsoletes). The final state is the same as
+  // record-then-tombstones: the new record is appended or updated in place
+  // either way, and a tombstone never names `key`.
   for (const record_key& k : obsolete) {
     if (k == key) continue;
-    apply_tombstone(k);
+    if (bytes dropped = apply_tombstone(k); dropped.capacity() != 0) {
+      spare_.push_back(std::move(dropped));
+    }
   }
+  apply_record(key, record);
+  spare_.clear();
   maybe_compact();
 }
 

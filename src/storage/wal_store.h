@@ -201,7 +201,8 @@ class wal_store final : public stable_store {
   std::vector<std::pair<record_key, bytes>> records_;
   flat_hash_map<record_key, std::uint32_t, key_hash> index_;
   bytes frame_buf_;  // reused append scratch
-  // Payload buffers replay may refill; empty outside reopen().
+  // Dropped payload buffers a new record may refill: filled by reopen()'s
+  // replay and by store_and_obsolete's tombstones, empty between calls.
   std::vector<bytes> spare_;
   std::size_t log_bytes_ = 0;
   std::size_t snapshot_bytes_ = 0;

@@ -1,9 +1,11 @@
-// Unit tests for the common substrate: ids, tags, values, codec, rng.
+// Unit tests for the common substrate: ids, tags, values, codec, rng, and
+// the recycling FIFO.
 #include <gtest/gtest.h>
 
 #include "common/codec.h"
 #include "common/error.h"
 #include "common/ids.h"
+#include "common/recycling_vector.h"
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/timestamp.h"
@@ -190,6 +192,33 @@ TEST(Time, LiteralsConvert) {
   EXPECT_EQ(1_s, 1'000'000'000);
   EXPECT_DOUBLE_EQ(to_us(1500), 1.5);
   EXPECT_DOUBLE_EQ(to_ms(2'500'000), 2.5);
+}
+
+TEST(RecyclingFifo, KeepsOrderAcrossWrapAndGrowth) {
+  recycling_fifo<int> q;
+  int next_in = 0, next_out = 0;
+  const auto push = [&](int n) {
+    for (int i = 0; i < n; ++i) q.push_slot() = next_in++;
+  };
+  const auto pop = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_FALSE(q.empty());
+      EXPECT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  };
+  push(3);
+  pop(2);
+  push(4);  // wraps round the ring, then grows while it is wrapped
+  EXPECT_EQ(q.back(), next_in - 1);
+  pop(5);
+  EXPECT_TRUE(q.empty());
+  push(2);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  push(6);
+  next_out = next_in - 6;
+  pop(6);
 }
 
 }  // namespace

@@ -1,14 +1,20 @@
 // Event-queue semantics across the typed-event / calendar-band rewrite:
 // equal-timestamp ordering, eager cancellation (including cancel-after-fire),
 // run_until boundary inclusivity, counter consistency, typed-event dispatch,
-// cross-band (ring / level-2 wheel / overflow heap) ordering, and a
-// differential check against a plain priority queue on (time, seq).
+// cross-band (ring / level-2 wheel / overflow heap) ordering, a
+// differential check against a plain priority queue on (time, seq), and a
+// clock sweep through every bucket that must not allocate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <bitset>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
+#include <new>
 #include <queue>
 #include <string>
 #include <vector>
@@ -16,6 +22,33 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "sim/event_queue.h"
+
+// ---- Allocation counting (this test binary only) -----------------------------
+// Replacing the throwing operators is enough: the nothrow and array forms
+// forward to them by default.
+
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t a = static_cast<std::size_t>(al);
+  const std::size_t rounded = (n + a - 1) / a * a;
+  if (void* p = std::aligned_alloc(a, rounded ? rounded : a)) return p;
+  throw std::bad_alloc{};
+}
+
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace remus::sim {
 namespace {
@@ -305,6 +338,94 @@ TEST(EventQueueBands, MatchesAPriorityQueueOnRandomNestedSchedules) {
   }
 }
 
+TEST(EventQueueAllocations, ClockSweepThroughEveryBucketAllocatesNothing) {
+  // Once the slot arena (and the overflow heap) have held the peak number
+  // of pending events, typed events allocate nothing, whatever buckets
+  // their times fall in. Three kinds of event chains drive the clock:
+  //   * a ring sweeper, 1 us apart for the first 20 ms: every ~1 us ring
+  //     bucket, five laps round;
+  //   * three wheel sweepers, each 3 ms out and 1 ms apart from the next:
+  //     every ~1 ms level-2 wheel bucket, over 10 s;
+  //   * random lanes with log-uniform delays from 1 us to 3 s, which
+  //     schedule extra events (up to a cap) and cancel pending ones.
+  constexpr time_ns kRingBucket = time_ns{1} << 10;
+  constexpr time_ns kWheelBucket = time_ns{1} << 20;
+  constexpr time_ns kRingHorizon = kRingBucket * 2048;   // direct ring schedules
+  constexpr time_ns kWheelHorizon = kWheelBucket * 2048;  // wheel, then overflow
+  constexpr std::size_t kPeak = 512;
+  constexpr std::uint64_t kRing = 0, kWheel = 1, kLane = 2;
+  constexpr std::size_t kLanes = 128, kLaneCap = 256;
+
+  struct sweep final : sim_executor {
+    event_queue* q = nullptr;
+    rng r{7};
+    time_ns start = 0;
+    std::array<event_queue::token, 64> recent{};
+    std::size_t next_recent = 0;
+    std::size_t lanes = 0;  // lane events pending
+    std::bitset<4096> ring_hit, wheel_hit;
+
+    void put(time_ns delay, std::uint64_t kind) {
+      const time_ns at = q->now() + delay;
+      // Where the event waits: ring buckets by ~1 us, wheel buckets by ~1 ms.
+      if (delay < kRingHorizon) {
+        ring_hit.set(static_cast<std::size_t>((at / kRingBucket) % 4096));
+      } else if (delay < kWheelHorizon) {
+        wheel_hit.set(static_cast<std::size_t>((at / kWheelBucket) % 4096));
+      }
+      const event_queue::token t = q->schedule_plain(at, event_kind::timer, process_id{0}, kind);
+      if (kind == kLane) {
+        ++lanes;
+        recent[next_recent++ % recent.size()] = t;
+      }
+    }
+    time_ns lane_delay() {
+      return static_cast<time_ns>(1e3 * std::exp(r.next_unit() * std::log(3e6)));
+    }
+    void execute(sim_event& ev) override {
+      const time_ns t = q->now() - start;
+      if (ev.a == kRing) {
+        if (t < 20'000'000) put(1'000, kRing);
+      } else if (ev.a == kWheel) {
+        if (t < 10'000'000'000) put(3'000'000, kWheel);
+      } else {
+        --lanes;
+        if (t >= 10'000'000'000) return;
+        put(lane_delay(), kLane);
+        while (lanes < kLaneCap && r.chance(0.3)) put(lane_delay(), kLane);
+        if (r.chance(0.1) && q->cancel(recent[r.next_below(recent.size())])) --lanes;
+      }
+    }
+  } exec;
+  event_queue q;
+  q.set_executor(&exec);
+  exec.q = &q;
+
+  // Warm-up: the peak number of events, all in the overflow heap.
+  for (std::size_t i = 0; i < kPeak; ++i) {
+    q.schedule_plain(3'000'000'000 + static_cast<time_ns>(i), event_kind::timer,
+                     process_id{0}, kLane);
+  }
+  exec.lanes = kPeak;
+  q.run();
+  ASSERT_EQ(exec.lanes, 0u);
+
+  exec.start = q.now();
+  exec.put(1'000, kRing);
+  for (time_ns i = 0; i < 3; ++i) exec.put(3'000'000 + i * 1'000'000, kWheel);
+  for (std::size_t i = 0; i < kLanes; ++i) exec.put(exec.lane_delay(), kLane);
+  const std::uint64_t allocs_before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t ran = q.run();
+  const std::uint64_t allocs = g_allocs.load(std::memory_order_relaxed) - allocs_before;
+
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_TRUE(q.empty());
+  EXPECT_GE(q.now() - exec.start, 10'000'000'000);
+  EXPECT_EQ(exec.ring_hit.count(), 4096u);
+  EXPECT_EQ(exec.wheel_hit.count(), 4096u);
+  EXPECT_GT(ran, 30'000u);
+}
+
 TEST(EventQueueScheduling, IntoThePastThrows) {
   event_queue q;
   q.schedule_at(10, [] {});
@@ -321,8 +442,6 @@ TEST(EventQueueTyped, ExecutorReceivesTypedEvents) {
       copy.target = ev.target;
       copy.a = ev.a;
       copy.incarnation = ev.incarnation;
-      copy.log_key = ev.log_key;
-      copy.log_record = ev.log_record;
       seen.push_back(std::move(copy));
     }
   } exec;
@@ -330,18 +449,16 @@ TEST(EventQueueTyped, ExecutorReceivesTypedEvents) {
   q.set_executor(&exec);
   q.schedule_plain(30, event_kind::timer, process_id{2}, 77, 5);
   q.schedule_plain(10, event_kind::op_dispatch, process_id{1}, 4);
-  bytes record{1, 2, 3};
-  q.schedule_log_done(20, process_id{0}, 9, 1,
-                      storage::record_key{storage::record_area::written, 7}, record);
+  q.schedule_plain(20, event_kind::log_done, process_id{0}, 9, 1);
   EXPECT_EQ(q.run(), 3u);
   ASSERT_EQ(exec.seen.size(), 3u);
   EXPECT_EQ(exec.seen[0].kind, event_kind::op_dispatch);
   EXPECT_EQ(exec.seen[0].target, process_id{1});
   EXPECT_EQ(exec.seen[0].a, 4u);
   EXPECT_EQ(exec.seen[1].kind, event_kind::log_done);
-  EXPECT_EQ(exec.seen[1].log_key,
-            (storage::record_key{storage::record_area::written, 7}));
-  EXPECT_EQ(exec.seen[1].log_record, (bytes{1, 2, 3}));
+  EXPECT_EQ(exec.seen[1].target, process_id{0});
+  EXPECT_EQ(exec.seen[1].a, 9u);
+  EXPECT_EQ(exec.seen[1].incarnation, 1u);
   EXPECT_EQ(exec.seen[2].kind, event_kind::timer);
   EXPECT_EQ(exec.seen[2].a, 77u);
   EXPECT_EQ(exec.seen[2].incarnation, 5u);

@@ -574,6 +574,32 @@ TEST_F(PersistentCore, CrashForgetsVolatileKeepsStable) {
   EXPECT_EQ(core_->replica_value(), only(w).val);
 }
 
+TEST_F(PersistentCore, RegisterWithoutWrittenRecordRestoresToInitial) {
+  // Registers 1 and 2 adopt writes and log them, but only register 1's
+  // (written) record becomes durable before the crash. Recovery reuses the
+  // replica table's slots; register 2 must still come back as ⊥.
+  const register_id first = 1, second = 2;
+  for (const register_id reg : {first, second}) {
+    message w = write_msg(1, reg, 3, tag{5, 0, process_id{1}},
+                          value_of_u32(100 + static_cast<std::uint32_t>(reg)));
+    w.entries[0].reg = reg;
+    outputs out;
+    core_->on_message(w, out);
+    ASSERT_EQ(out.logs.size(), 1u);
+    EXPECT_EQ(out.logs[0].key, written_key_of(reg));
+    if (reg == first) store_.store(out.logs[0].key, out.logs[0].record);
+    EXPECT_EQ(core_->replica_tag(reg), (tag{5, 0, process_id{1}}));
+  }
+
+  core_->crash();
+  outputs rec;
+  core_->recover(101, rec);
+  EXPECT_EQ(core_->replica_tag(first), (tag{5, 0, process_id{1}}));
+  EXPECT_EQ(core_->replica_value(first), value_of_u32(101));
+  EXPECT_EQ(core_->replica_tag(second), initial_tag);
+  EXPECT_EQ(core_->replica_value(second), initial_value());
+}
+
 TEST_F(PersistentCore, RecoveryFinishesPendingWrite) {
   // Crash after the prelog: the new value survives in (writing).
   const log_request prelog = start_write_until_prelog(value_of_u32(123));
