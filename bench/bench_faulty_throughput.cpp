@@ -3,8 +3,6 @@
 // at the same time", as long as a majority is eventually up): completed
 // operations per second while minorities crash and recover periodically, and
 // time-to-first-completed-write after a full blackout.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -108,19 +106,9 @@ void print_paper_table() {
               " the crash-stop baseline cannot survive any recovery scenario)\n\n");
 }
 
-void BM_churn_run(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = run_churn(proto::transient_policy(), true, 31);
-    benchmark::DoNotOptimize(r.ops_per_sec);
-  }
-}
-BENCHMARK(BM_churn_run)->Unit(benchmark::kMillisecond)->Iterations(1);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

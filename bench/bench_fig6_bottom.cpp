@@ -6,8 +6,6 @@
 // increases linearly" — up to the 64 KB UDP limit. Expect straight lines
 // with slope = payload/(wire bandwidth) + payload/(disk bandwidth) x (number
 // of causal logs), the persistent line steepest.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -53,19 +51,9 @@ void print_paper_table() {
               slope_a, slope_b);
 }
 
-void BM_write_64k_persistent(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_writes(paper_testbed(proto::persistent_policy(), kN), 65536, 5);
-    benchmark::DoNotOptimize(r.latency_us.mean());
-  }
-}
-BENCHMARK(BM_write_64k_persistent)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // ~700 us, persistent ~900 us — i.e. gaps of one and two causal logs
 // (~200 us each). The shape to reproduce: persistent > transient >
 // crash-stop, constant gaps ~lambda and ~2*lambda, mild growth with N.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -40,27 +38,9 @@ void print_paper_table() {
   std::printf("(paper @ N=5: 500 / 700 / 900 us; gaps ~200 and ~400 us)\n\n");
 }
 
-void BM_write_crash_stop_n5(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_writes(paper_testbed(proto::crash_stop_policy(), 5), 4, 10);
-    benchmark::DoNotOptimize(r.latency_us.mean());
-  }
-}
-BENCHMARK(BM_write_crash_stop_n5)->Unit(benchmark::kMillisecond)->Iterations(3);
-
-void BM_write_persistent_n5(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_writes(paper_testbed(proto::persistent_policy(), 5), 4, 10);
-    benchmark::DoNotOptimize(r.latency_us.mean());
-  }
-}
-BENCHMARK(BM_write_persistent_n5)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

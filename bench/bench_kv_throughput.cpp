@@ -103,24 +103,8 @@ kv_result run_case(const kv_case& kc, std::uint32_t ops, std::uint64_t seed) {
 
   std::vector<core::cluster::op_handle> handles;
   handles.reserve(workload.size());
-  std::vector<proto::write_op> batch_ops;
-  std::vector<register_id> batch_regs;
   for (const sim::kv_op& op : workload) {
-    if (op.entries.size() == 1) {
-      if (op.is_read) {
-        handles.push_back(c.submit_read(op.p, op.entries[0].reg, op.at));
-      } else {
-        handles.push_back(c.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at));
-      }
-    } else if (op.is_read) {
-      batch_regs.clear();
-      for (const auto& e : op.entries) batch_regs.push_back(e.reg);
-      handles.push_back(c.submit_read_batch(op.p, batch_regs, op.at));
-    } else {
-      batch_ops.clear();
-      for (const auto& e : op.entries) batch_ops.push_back({e.reg, e.val});
-      handles.push_back(c.submit_write_batch(op.p, batch_ops, op.at));
-    }
+    handles.push_back(c.submit(op.p, op.is_read, sim::entries_of(op), op.at));
   }
 
   kv_result r;

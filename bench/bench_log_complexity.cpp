@@ -5,8 +5,6 @@
 //   persistent: write = 2 causal logs, read = 1 (0 without concurrency)
 //   transient:  write = 1 causal log,  read = 1 (0 without concurrency)
 //   crash-stop: never logs
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -50,20 +48,9 @@ void print_paper_table() {
               " need 1; 'in the absence of concurrency an atomic read does not log')\n\n");
 }
 
-void BM_trace_overhead(benchmark::State& state) {
-  // The causal-log tracer rides in messages; measure a full write with it.
-  for (auto _ : state) {
-    auto r = measure_writes(paper_testbed(proto::persistent_policy(), kN), 4, 10);
-    benchmark::DoNotOptimize(r.causal_logs.mean());
-  }
-}
-BENCHMARK(BM_trace_overhead)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

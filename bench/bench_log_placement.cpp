@@ -6,8 +6,6 @@
 // the broadcast (1 causal log, 2*delta + lambda). The measured gap should be
 // ~lambda (~200 us), demonstrating why counting *causal* logs — not logs —
 // predicts latency.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -38,19 +36,9 @@ void print_paper_table() {
   std::printf("(same number of logs in total, different causal structure)\n\n");
 }
 
-void BM_algorithm_a(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_writes(paper_testbed(proto::ablation_a_policy(), kN), 4, 10);
-    benchmark::DoNotOptimize(r.latency_us.mean());
-  }
-}
-BENCHMARK(BM_algorithm_a)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

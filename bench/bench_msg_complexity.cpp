@@ -2,8 +2,6 @@
 // (sections I-D, IV): "our algorithms use the same number of communication
 // steps as [2], namely 4 for any operation", i.e. minimizing logs costs no
 // extra messages or rounds.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -35,19 +33,9 @@ void print_paper_table() {
               " messages/op = 2 rounds x (n broadcast + n acks) = 4n = %u)\n\n", 4 * kN);
 }
 
-void BM_message_accounting(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_writes(paper_testbed(proto::transient_policy(), kN), 4, 10);
-    benchmark::DoNotOptimize(r.messages.mean());
-  }
-}
-BENCHMARK(BM_message_accounting)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

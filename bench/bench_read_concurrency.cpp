@@ -8,8 +8,6 @@
 // without any crashes a read does not log, meaning that the execution times
 // would be the same for each algorithm" — is verified by the 'quiet' column
 // being flat across algorithms.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -48,19 +46,9 @@ void print_paper_table() {
               " paper's Figure 6 plots only writes)\n\n");
 }
 
-void BM_quiet_read(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_reads(paper_testbed(proto::persistent_policy(), kN), 10, false);
-    benchmark::DoNotOptimize(r.latency_us.mean());
-  }
-}
-BENCHMARK(BM_quiet_read)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -5,8 +5,6 @@
 //
 // Measured: wall-clock from the recover event until the process accepts
 // invocations again, with and without an interrupted write to finish.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -73,19 +71,9 @@ void print_paper_table() {
               " transient recovers locally and lets the next write repair ordering)\n\n");
 }
 
-void BM_persistent_recovery(benchmark::State& state) {
-  for (auto _ : state) {
-    auto s = measure_recovery(proto::persistent_policy(), true, 500);
-    benchmark::DoNotOptimize(s.mean());
-  }
-}
-BENCHMARK(BM_persistent_recovery)->Unit(benchmark::kMillisecond)->Iterations(2);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,7 @@
 // Shared helpers for the benchmark harness.
 //
-// Every bench binary prints a table shaped like the corresponding paper
-// figure (EXPERIMENTS.md records paper-vs-measured side by side), then runs
-// a few google-benchmark microbenchmarks bounding the harness's own speed.
+// Every paper-figure bench binary prints a table shaped like the
+// corresponding paper figure, in virtual time, and exits 0.
 //
 // The cost model is calibrated to the paper's constants (sections I-A, V-A):
 // one-way LAN transit ~0.1 ms, one small synchronous log ~0.2 ms, 100 Mbps

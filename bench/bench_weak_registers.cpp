@@ -5,8 +5,6 @@
 // write, while an atomic read already logs nothing without concurrency.
 // "Therefore ... it does not make sense to emulate safe or even regular
 // memory."
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 
 #include "bench_util.h"
@@ -52,19 +50,9 @@ void print_paper_table() {
               " causal log — so transient atomicity is the sweet spot)\n\n");
 }
 
-void BM_regular_read(benchmark::State& state) {
-  for (auto _ : state) {
-    auto r = measure_reads(paper_testbed(proto::regular_swmr_policy(), kN), 10, false);
-    benchmark::DoNotOptimize(r.latency_us.mean());
-  }
-}
-BENCHMARK(BM_regular_read)->Unit(benchmark::kMillisecond)->Iterations(3);
-
 }  // namespace
 
-int main(int argc, char** argv) {
+int main() {
   print_paper_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -104,11 +104,14 @@ std::uint64_t cluster::durable_stores(process_id p) const {
 
 // ---- Workload scheduling ----------------------------------------------------
 
-cluster::op_handle cluster::submit_op(process_id p, bool is_read,
-                                     std::vector<proto::batch_entry> entries, time_ns at) {
+cluster::op_handle cluster::submit(process_id p, bool is_read,
+                                   std::vector<proto::batch_entry> entries, time_ns at) {
   const consumer_guard guard(*this);
   (void)node_at(p);  // validate
   if (entries.empty()) throw driver_error("cluster: operation on no register");
+  if (!proto::distinct_registers(entries)) {
+    throw driver_error("cluster: an operation names a register twice");
+  }
   op_result r;
   r.submitted = true;
   r.is_read = is_read;
@@ -120,35 +123,6 @@ cluster::op_handle cluster::submit_op(process_id p, bool is_read,
   const op_handle h = results_.size() - 1;
   queue_.schedule_plain(std::max(at, now()), sim::event_kind::op_dispatch, p, h);
   return h;
-}
-
-cluster::op_handle cluster::submit_write(process_id p, register_id reg, value v,
-                                         time_ns at) {
-  std::vector<proto::batch_entry> entries(1);
-  entries[0].reg = reg;
-  entries[0].val = std::move(v);
-  return submit_op(p, /*is_read=*/false, std::move(entries), at);
-}
-
-cluster::op_handle cluster::submit_read(process_id p, register_id reg, time_ns at) {
-  return submit_op(p, /*is_read=*/true, std::vector<proto::batch_entry>{{reg, {}, {}}}, at);
-}
-
-cluster::op_handle cluster::submit_write_batch(process_id p,
-                                               std::vector<proto::write_op> ops,
-                                               time_ns at) {
-  std::vector<proto::batch_entry> entries;
-  entries.reserve(ops.size());
-  for (proto::write_op& op : ops) entries.push_back({op.reg, {}, std::move(op.val)});
-  return submit_op(p, /*is_read=*/false, std::move(entries), at);
-}
-
-cluster::op_handle cluster::submit_read_batch(process_id p, std::vector<register_id> regs,
-                                              time_ns at) {
-  std::vector<proto::batch_entry> entries;
-  entries.reserve(regs.size());
-  for (const register_id reg : regs) entries.push_back({reg, {}, {}});
-  return submit_op(p, /*is_read=*/true, std::move(entries), at);
 }
 
 void cluster::submit_crash(process_id p, time_ns at, crash_style style) {
@@ -191,21 +165,26 @@ void cluster::run_for(time_ns d) {
   queue_.run_until(now() + d);
 }
 
+bool cluster::run_until_done(op_handle h) {
+  const consumer_guard guard(*this);
+  (void)result(h);  // validate
+  while (!results_[h].completed && queue_.step()) {
+  }
+  return results_[h].completed;
+}
+
 value cluster::read(process_id p, register_id reg) {
   const consumer_guard guard(*this);
   const op_handle h = submit_read(p, reg, now());
-  while (!results_[h].completed && queue_.step()) {
-  }
-  if (!results_[h].completed) throw driver_error("cluster: read did not complete");
+  if (!run_until_done(h)) throw driver_error("cluster: read did not complete");
   return results_[h].entries[0].val;
 }
 
 void cluster::write(process_id p, register_id reg, value v) {
   const consumer_guard guard(*this);
-  const op_handle h = submit_write(p, reg, std::move(v), now());
-  while (!results_[h].completed && queue_.step()) {
+  if (!run_until_done(submit_write(p, reg, std::move(v), now()))) {
+    throw driver_error("cluster: write did not complete");
   }
-  if (!results_[h].completed) throw driver_error("cluster: write did not complete");
 }
 
 const cluster::op_result& cluster::result(op_handle h) const {

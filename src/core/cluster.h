@@ -85,17 +85,29 @@ class cluster final : private sim::sim_executor {
   op_handle submit_read(process_id p, time_ns at) {
     return submit_read(p, default_register, at);
   }
-  /// Keyed write of register `reg` (see proto/quorum_core.h for the
-  /// durability invariants an acked write satisfies).
-  op_handle submit_write(process_id p, register_id reg, value v, time_ns at);
-  /// Keyed read of register `reg`.
-  op_handle submit_read(process_id p, register_id reg, time_ns at);
-  /// Batched operations: one protocol operation over a set of distinct
-  /// registers (one quorum round per phase for the whole set). The reply
-  /// carries one (tag, value) entry per register; the history records one
-  /// invoke/reply pair per register so per-key projections stay well-formed.
-  op_handle submit_write_batch(process_id p, std::vector<proto::write_op> ops, time_ns at);
-  op_handle submit_read_batch(process_id p, std::vector<register_id> regs, time_ns at);
+  /// The one operation: a read or a write of `entries`, a non-empty list of
+  /// distinct registers (a write's entries carry their values; tags are
+  /// ignored), one quorum round per phase for the whole list (see
+  /// proto/quorum_core.h for the durability invariants an acked write
+  /// satisfies). The reply carries one (tag, value) entry per register; the
+  /// history records one invoke/reply pair per register so per-key
+  /// projections stay well-formed. Throws driver_error, recording and
+  /// scheduling nothing, on an empty list or a repeated register.
+  op_handle submit(process_id p, bool is_read, std::vector<proto::batch_entry> entries,
+                   time_ns at);
+  /// Wrappers that build submit's list: a single-key op is a list of one.
+  op_handle submit_write(process_id p, register_id reg, value v, time_ns at) {
+    return submit(p, /*is_read=*/false, proto::single_entry(reg, std::move(v)), at);
+  }
+  op_handle submit_read(process_id p, register_id reg, time_ns at) {
+    return submit(p, /*is_read=*/true, proto::single_entry(reg), at);
+  }
+  op_handle submit_write_batch(process_id p, std::vector<proto::write_op> ops, time_ns at) {
+    return submit(p, /*is_read=*/false, proto::write_entries(std::move(ops)), at);
+  }
+  op_handle submit_read_batch(process_id p, std::vector<register_id> regs, time_ns at) {
+    return submit(p, /*is_read=*/true, proto::read_entries(regs), at);
+  }
   /// Crash at `at`: the process loses all volatile state (pending ops cut
   /// short, queued ops dropped) and keeps only stable storage. `style`
   /// picks what the crash leaves on the WAL engine's medium (no effect on
@@ -114,8 +126,13 @@ class cluster final : private sim::sim_executor {
   bool run_until_idle(std::uint64_t max_events = 50'000'000);
   /// Runs events with timestamps <= now()+d, then advances the clock.
   void run_for(time_ns d);
+  /// Runs events one at a time until op `h` completes or no event remains;
+  /// returns whether it completed (a dropped or cut-short op never does).
+  /// The synchronous calls below, and the shard router's, are a submit plus
+  /// this.
+  bool run_until_done(op_handle h);
 
-  // ---- Synchronous convenience (submit now + run until that op is done) ----
+  // ---- Synchronous convenience (submit now + run_until_done) ----
   value read(process_id p) { return read(p, default_register); }
   void write(process_id p, value v) { write(p, default_register, std::move(v)); }
   value read(process_id p, register_id reg);
@@ -311,8 +328,6 @@ class cluster final : private sim::sim_executor {
   void do_crash(process_id p, crash_style style);
   void do_recover(process_id p);
   void finish_active_op(process_id p, const proto::op_outcome& oc);
-  op_handle submit_op(process_id p, bool is_read, std::vector<proto::batch_entry> entries,
-                      time_ns at);
   /// The node whose active op is (origin, epoch, seq), which an effect's
   /// cost is counted against; nullptr for stale traffic and recovery.
   node* op_owner(process_id origin, std::uint64_t epoch, std::uint64_t op_seq) {

@@ -223,16 +223,8 @@ scenario_outcome run_scenario(const scenario_spec& spec, std::uint32_t workers) 
     }
   };
   const auto submit_op = [&](const sim::kv_op& op) {
-    const time_ns at = std::max(op.at, router.now());
-    if (op.is_read) {
-      std::vector<register_id> regs;
-      for (const auto& e : op.entries) regs.push_back(e.reg);
-      handles.push_back(router.submit_read_batch(op.p, std::move(regs), at));
-    } else {
-      std::vector<proto::write_op> ws;
-      for (const auto& e : op.entries) ws.push_back({e.reg, e.val});
-      handles.push_back(router.submit_write_batch(op.p, std::move(ws), at));
-    }
+    handles.push_back(router.submit(op.p, op.is_read, sim::entries_of(op),
+                                    std::max(op.at, router.now())));
   };
   std::size_t wi = 0;
   std::size_t ei = 0;

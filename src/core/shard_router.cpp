@@ -45,14 +45,13 @@ std::uint32_t resolve_workers(std::uint32_t workers) {
 
 shard_router::shard_router(shard_router_config cfg)
     : cfg_(std::move(cfg)),
-      driver_(sim::make_shard_driver(resolve_workers(cfg_.workers))),
+      pool_(resolve_workers(cfg_.workers)),
       ring_(cfg_.shards, ring_vnodes, /*epoch=*/0) {
   // (shards == 0 already rejected by ring_'s constructor.)
   shards_.reserve(cfg_.shards);
-  split_ops_.resize(cfg_.shards);
-  split_regs_.resize(cfg_.shards);
+  split_.resize(cfg_.shards);
   split_pos_.resize(cfg_.shards);
-  wb_regs_scratch_.resize(cfg_.shards);
+  old_routed_.resize(cfg_.shards);
   for (std::uint32_t s = 0; s < cfg_.shards; ++s) {
     shards_.push_back(std::make_unique<cluster>(shard_config(cfg_.base, s)));
   }
@@ -66,12 +65,6 @@ cluster& shard_router::shard(std::uint32_t s) {
 const cluster& shard_router::shard(std::uint32_t s) const {
   if (s >= shards_.size()) throw driver_error("shard_router: bad shard index");
   return *shards_[s];
-}
-
-void shard_router::check_local(process_id p) const {
-  if (!p.valid() || p.index >= cfg_.base.n) {
-    throw driver_error("shard_router: process id must be a local index < base.n");
-  }
 }
 
 // ---- Reconfiguration ---------------------------------------------------------
@@ -96,10 +89,9 @@ std::uint32_t shard_router::begin_add_shard() {
   // grown router is shard-for-shard identical to one built at S+1.
   shards_.push_back(std::make_unique<cluster>(shard_config(cfg_.base, s)));
   shards_.back()->run_for(now());  // align the newborn's clock to the fleet
-  split_ops_.resize(s + 1);
-  split_regs_.resize(s + 1);
+  split_.resize(s + 1);
   split_pos_.resize(s + 1);
-  wb_regs_scratch_.resize(s + 1);
+  old_routed_.resize(s + 1);
 
   // Install the epoch+1 topology; the retiring ring answers for moved keys
   // until their handoff.
@@ -224,47 +216,26 @@ void shard_router::handoff_key(register_id reg, migration_event::cause why,
   }
 }
 
-std::uint32_t shard_router::route_write_key(register_id reg) {
+std::uint32_t shard_router::route_key(register_id reg, bool is_read, bool* old_routed) {
+  *old_routed = false;
   if (!migrating_ || !delta_.moved(reg) || is_migrated(reg)) {
     return ring_.shard_of(reg);
   }
-  if (old_shard_quiet(reg)) {
+  if (!is_read && old_shard_quiet(reg)) {
     // Writes-to-new: hand the key off at this quiet point, then let the
     // write run on the destination — its sequence-number query sees the
     // imported tag, so the new epoch's tags strictly dominate the old's.
     handoff_key(reg, migration_event::cause::write_handoff, now());
     return ring_.shard_of(reg);
   }
-  // The old shard still has live operations on this key: route there too
-  // (late handoff — the drain migrates the key at its next quiet point).
-  // The write creates state on the old shard, so the key must be on the
-  // drain worklist even if it held nothing at window open.
-  add_to_worklist(reg);
-  return prev_ring_->shard_of(reg);
-}
-
-std::uint32_t shard_router::route_read_key(register_id reg, bool* moved_read) {
-  *moved_read = false;
-  if (!migrating_ || !delta_.moved(reg) || is_migrated(reg)) {
-    return ring_.shard_of(reg);
-  }
   // Reads-from-old: the retiring shard stays authoritative until handoff.
-  *moved_read = true;
+  // A write goes there too while the old shard still has live operations
+  // on the key (late handoff — the drain migrates the key at its next
+  // quiet point); it creates state there, so the key must be on the drain
+  // worklist even if it held nothing at window open.
+  if (!is_read) add_to_worklist(reg);
+  *old_routed = true;
   return prev_ring_->shard_of(reg);
-}
-
-void shard_router::register_writeback(std::size_t op_index) {
-  // The sub-ops were just pushed; attach one write-back per old-shard sub
-  // that touched moved keys (collected in wb_regs_scratch_ by the caller).
-  routed_op& op = ops_[op_index];
-  for (const sub_op& so : op.subs) {
-    std::vector<register_id>& regs = wb_regs_scratch_[so.shard];
-    if (regs.empty()) continue;
-    for (const register_id reg : regs) track_old_op(reg, so.shard, so.h);
-    op.writebacks_pending += 1;
-    writebacks_.push_back({so.shard, so.h, op_index, std::move(regs)});
-    wb_regs_scratch_[so.shard].clear();  // moved-from: restore a known state
-  }
 }
 
 void shard_router::pump_migration() {
@@ -335,107 +306,63 @@ void shard_router::pump_migration() {
 
 // ---- Workload scheduling ----------------------------------------------------
 
-shard_router::op_handle shard_router::submit_write(process_id p, register_id reg,
-                                                   value v, time_ns at) {
-  check_local(p);
-  const std::uint32_t s = route_write_key(reg);
-  routed_op op;
-  op.is_read = false;
-  op.p = p;
-  op.subs.push_back({s, shards_[s]->submit_write(p, reg, std::move(v), at)});
-  // Still old-routed after routing = the late-handoff path: the live old op
-  // set grows by this write, and the drain waits for it.
-  const bool old_routed = migrating_ && delta_.moved(reg) && !is_migrated(reg);
-  ops_.push_back(std::move(op));
-  if (old_routed) track_old_op(reg, s, ops_.back().subs[0].h);
-  return ops_.size() - 1;
-}
-
-shard_router::op_handle shard_router::submit_read(process_id p, register_id reg,
-                                                  time_ns at) {
-  check_local(p);
-  bool moved_read = false;
-  const std::uint32_t s = route_read_key(reg, &moved_read);
-  routed_op op;
-  op.is_read = true;
-  op.p = p;
-  op.subs.push_back({s, shards_[s]->submit_read(p, reg, at)});
-  ops_.push_back(std::move(op));
-  const std::size_t idx = ops_.size() - 1;
-  if (moved_read) {
-    wb_regs_scratch_[s].clear();
-    wb_regs_scratch_[s].push_back(reg);
-    register_writeback(idx);
+shard_router::op_handle shard_router::submit(process_id p, bool is_read,
+                                             std::vector<proto::batch_entry> entries,
+                                             time_ns at) {
+  if (!p.valid() || p.index >= cfg_.base.n) {
+    throw driver_error("shard_router: process id must be a local index < base.n");
   }
-  return idx;
-}
-
-shard_router::op_handle shard_router::submit_write_batch(
-    process_id p, std::vector<proto::write_op> ops, time_ns at) {
-  check_local(p);
-  if (ops.empty()) throw driver_error("shard_router: empty write batch");
-  for (auto& g : split_ops_) g.clear();
-  for (auto& g : split_pos_) g.clear();
-  for (auto& g : wb_regs_scratch_) g.clear();
-  for (std::uint32_t i = 0; i < ops.size(); ++i) {
-    const register_id reg = ops[i].reg;
-    const std::uint32_t s = route_write_key(reg);
-    // Moved keys that stayed old-routed (busy old shard) must pin their
-    // handoff open until this sub-batch settles.
-    if (migrating_ && delta_.moved(reg) && !is_migrated(reg)) {
-      wb_regs_scratch_[s].push_back(reg);
+  if (entries.empty()) throw driver_error("shard_router: operation on no register");
+  // Checked before any key is routed: routing a write's key may hand it off.
+  if (!proto::distinct_registers(entries)) {
+    throw driver_error("shard_router: an operation names a register twice");
+  }
+  route_shard_.clear();
+  bool one_shard = true;
+  for (const proto::batch_entry& e : entries) {
+    bool old_routed = false;
+    const std::uint32_t s = route_key(e.reg, is_read, &old_routed);
+    if (old_routed) old_routed_[s].push_back(e.reg);
+    one_shard = one_shard && (route_shard_.empty() || route_shard_.front() == s);
+    route_shard_.push_back(s);
+  }
+  routed_op op;
+  op.is_read = is_read;
+  op.p = p;
+  if (one_shard) {
+    // Unsplit: the whole list goes to its shard, already in the caller's
+    // order (so a single-key op allocates nothing here).
+    const std::uint32_t s = route_shard_.front();
+    op.subs.push_back({s, shards_[s]->submit(p, is_read, std::move(entries), at)});
+  } else {
+    for (std::uint32_t i = 0; i < entries.size(); ++i) {
+      split_[route_shard_[i]].push_back(std::move(entries[i]));
+      split_pos_[route_shard_[i]].push_back(i);
     }
-    split_ops_[s].push_back(std::move(ops[i]));
-    split_pos_[s].push_back(i);
-  }
-  routed_op op;
-  op.is_read = false;
-  op.p = p;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (split_ops_[s].empty()) continue;
-    // Moving the scratch is safe: the next submit clears it before use.
-    op.subs.push_back(
-        {s, shards_[s]->submit_write_batch(p, std::move(split_ops_[s]), at)});
-    op.original_pos.insert(op.original_pos.end(), split_pos_[s].begin(),
-                           split_pos_[s].end());
-    for (const register_id reg : wb_regs_scratch_[s]) {
-      track_old_op(reg, s, op.subs.back().h);
+    for (std::uint32_t s = 0; s < shards_.size(); ++s) {
+      if (split_[s].empty()) continue;
+      op.subs.push_back({s, shards_[s]->submit(p, is_read, std::move(split_[s]), at)});
+      split_[s].clear();  // moved-from: restore a known state
+      op.original_pos.insert(op.original_pos.end(), split_pos_[s].begin(),
+                             split_pos_[s].end());
+      split_pos_[s].clear();
     }
-    wb_regs_scratch_[s].clear();
+  }
+  // Keys routed to their old shard pin their handoff until their sub-op
+  // settles; a read's also owe the new shard a write-back of what it read.
+  const op_handle h = ops_.size();
+  for (const sub_op& so : op.subs) {
+    std::vector<register_id>& regs = old_routed_[so.shard];
+    if (regs.empty()) continue;
+    for (const register_id reg : regs) track_old_op(reg, so.shard, so.h);
+    if (is_read) {
+      op.writebacks_pending += 1;
+      writebacks_.push_back({so.shard, so.h, h, std::move(regs)});
+    }
+    regs.clear();
   }
   ops_.push_back(std::move(op));
-  return ops_.size() - 1;
-}
-
-shard_router::op_handle shard_router::submit_read_batch(process_id p,
-                                                        std::vector<register_id> regs,
-                                                        time_ns at) {
-  check_local(p);
-  if (regs.empty()) throw driver_error("shard_router: empty read batch");
-  for (auto& g : split_regs_) g.clear();
-  for (auto& g : split_pos_) g.clear();
-  for (auto& g : wb_regs_scratch_) g.clear();
-  for (std::uint32_t i = 0; i < regs.size(); ++i) {
-    bool moved_read = false;
-    const std::uint32_t s = route_read_key(regs[i], &moved_read);
-    if (moved_read) wb_regs_scratch_[s].push_back(regs[i]);
-    split_regs_[s].push_back(regs[i]);
-    split_pos_[s].push_back(i);
-  }
-  routed_op op;
-  op.is_read = true;
-  op.p = p;
-  for (std::uint32_t s = 0; s < shards_.size(); ++s) {
-    if (split_regs_[s].empty()) continue;
-    op.subs.push_back(
-        {s, shards_[s]->submit_read_batch(p, std::move(split_regs_[s]), at)});
-    op.original_pos.insert(op.original_pos.end(), split_pos_[s].begin(),
-                           split_pos_[s].end());
-  }
-  ops_.push_back(std::move(op));
-  const std::size_t idx = ops_.size() - 1;
-  register_writeback(idx);  // no-op when no moved keys were old-routed
-  return idx;
+  return h;
 }
 
 void shard_router::submit_crash(std::uint32_t s, process_id p, time_ns at,
@@ -445,10 +372,6 @@ void shard_router::submit_crash(std::uint32_t s, process_id p, time_ns at,
 
 void shard_router::submit_recover(std::uint32_t s, process_id p, time_ns at) {
   shard(s).submit_recover(p, at);
-}
-
-void shard_router::apply(std::uint32_t s, const sim::fault_plan& plan, time_ns offset) {
-  shard(s).apply(plan, offset);
 }
 
 // ---- Execution ---------------------------------------------------------------
@@ -465,7 +388,7 @@ bool shard_router::run_until_idle(std::uint64_t max_events) {
       // restored by the final sync_clocks_to (mid-run clock skew between
       // independent shards is unobservable).
       idle_scratch_.assign(count, 1);
-      driver_->run_indexed(count, [&](std::uint32_t s) {
+      pool_.run_indexed(count, [&](std::uint32_t s) {
         if (!shards_[s]->run_until_idle(drain_chunk_events)) idle_scratch_[s] = 0;
       });
       if (events_executed() - start > max_events) return false;
@@ -498,7 +421,7 @@ bool shard_router::run_until_idle(std::uint64_t max_events) {
       break;
     }
     const time_ns target = next + lockstep_window;
-    driver_->run_indexed(count, [&](std::uint32_t s) {
+    pool_.run_indexed(count, [&](std::uint32_t s) {
       cluster& c = *shards_[s];
       if (target > c.now()) c.run_for(target - c.now());
     });
@@ -515,43 +438,36 @@ void shard_router::run_for(time_ns d) {
 }
 
 void shard_router::sync_clocks_to(time_ns t) {
-  driver_->run_indexed(static_cast<std::uint32_t>(shards_.size()),
-                       [&](std::uint32_t s) {
-                         cluster& c = *shards_[s];
-                         if (t > c.now()) c.run_for(t - c.now());
-                       });
+  pool_.run_indexed(static_cast<std::uint32_t>(shards_.size()), [&](std::uint32_t s) {
+    cluster& c = *shards_[s];
+    if (t > c.now()) c.run_for(t - c.now());
+  });
+}
+
+bool shard_router::run_until_done(op_handle h) {
+  time_ns t = 0;
+  for (const sub_op& so : ops_[h].subs) {
+    cluster& c = *shards_[so.shard];
+    if (!c.run_until_done(so.h)) return false;
+    t = std::max(t, c.now());
+  }
+  sync_clocks_to(t);
+  pump_migration();
+  return true;
 }
 
 value shard_router::read(process_id p, register_id reg) {
-  check_local(p);
-  bool moved_read = false;
-  const std::uint32_t s = route_read_key(reg, &moved_read);
-  cluster& owner = *shards_[s];
-  value v = owner.read(p, reg);
-  sync_clocks_to(owner.now());
-  if (moved_read && !is_migrated(reg) &&
-      cfg_.test_fault != shard_router_config::injected_fault::skip_read_writeback) {
-    // Synchronous form of the window read's write-back: anchor the freshest
-    // old-shard state at the destination before returning the value.
-    const cluster::register_snapshot snap = owner.export_register(reg);
-    if (snap.has_state) {
-      const std::uint32_t to = ring_.shard_of(reg);
-      shards_[to]->import_register(snap);
-      migration_log_.push_back(
-          {reg, s, to, now(), migration_event::cause::read_writeback});
-    }
-  }
-  pump_migration();
-  return v;
+  const op_handle h = submit_read(p, reg, now());
+  if (!run_until_done(h)) throw driver_error("shard_router: read did not complete");
+  // One key, one sub-op: its result is the value (no merged copy needed).
+  const sub_op& so = ops_[h].subs.front();
+  return shards_[so.shard]->result(so.h).entries[0].val;
 }
 
 void shard_router::write(process_id p, register_id reg, value v) {
-  check_local(p);
-  const std::uint32_t s = route_write_key(reg);
-  cluster& owner = *shards_[s];
-  owner.write(p, reg, std::move(v));
-  sync_clocks_to(owner.now());
-  pump_migration();
+  if (!run_until_done(submit_write(p, reg, std::move(v), now()))) {
+    throw driver_error("shard_router: write did not complete");
+  }
 }
 
 // ---- Results & introspection -------------------------------------------------

@@ -93,7 +93,7 @@
 // # Parallel execution (cfg.workers)
 //
 // Because independence is total, the S event queues can be advanced by a
-// worker pool (sim::shard_driver) instead of one thread — same histories,
+// worker pool (sim::worker_pool) instead of one thread — same histories,
 // more cores. The discipline is *window barriers*: workers only ever run
 // disjoint shards between two synchronization points, and every piece of
 // cross-shard work (routing, handoff export/import/evict, drain pumping,
@@ -137,8 +137,9 @@ struct shard_router_config {
   /// formula, so a grown router equals a bigger one shard-for-shard.
   cluster_config base;
   /// Simulator worker threads (see "Parallel execution" in the file
-  /// comment): 1 = sequential driver, k > 1 = pool of k threads advancing
-  /// disjoint shards between window barriers, 0 = one per hardware thread.
+  /// comment): 1 = every shard inline on the caller, k > 1 = pool of k
+  /// threads advancing disjoint shards between window barriers, 0 = one per
+  /// hardware thread.
   /// Any value produces bit-identical results; > 1 buys wall-clock speed
   /// once shard_count() > 1.
   std::uint32_t workers = 1;
@@ -243,20 +244,35 @@ class shard_router final {
   // client-library model — the same logical client appears as a distinct
   // global process per shard, which is sound because well-formedness is
   // per process per shard).
-  op_handle submit_write(process_id p, register_id reg, value v, time_ns at);
-  op_handle submit_read(process_id p, register_id reg, time_ns at);
-  /// Splits `ops` by owning shard (one cluster batch per shard touched) and
-  /// completes when every sub-batch has. result().entries restores the
-  /// caller's key order.
-  op_handle submit_write_batch(process_id p, std::vector<proto::write_op> ops,
-                               time_ns at);
-  op_handle submit_read_batch(process_id p, std::vector<register_id> regs, time_ns at);
+  //
+  // Every operation — single-key, batched or synchronous — takes one path:
+  // submit() checks the list (non-empty, distinct registers) before routing
+  // any key, routes each key under the dual-ring discipline (a write may
+  // hand its key off here), hands a list whose keys all land on one shard
+  // to that shard unsplit, and otherwise splits it into one cluster
+  // operation per shard touched. The op completes when every sub-op has
+  // (and, for a window read, once its write-back landed); result().entries
+  // is in the caller's key order.
+  op_handle submit(process_id p, bool is_read, std::vector<proto::batch_entry> entries,
+                   time_ns at);
+  /// Wrappers that build submit's list: a single-key op is a list of one.
+  op_handle submit_write(process_id p, register_id reg, value v, time_ns at) {
+    return submit(p, /*is_read=*/false, proto::single_entry(reg, std::move(v)), at);
+  }
+  op_handle submit_read(process_id p, register_id reg, time_ns at) {
+    return submit(p, /*is_read=*/true, proto::single_entry(reg), at);
+  }
+  op_handle submit_write_batch(process_id p, std::vector<proto::write_op> ops, time_ns at) {
+    return submit(p, /*is_read=*/false, proto::write_entries(std::move(ops)), at);
+  }
+  op_handle submit_read_batch(process_id p, std::vector<register_id> regs, time_ns at) {
+    return submit(p, /*is_read=*/true, proto::read_entries(regs), at);
+  }
   /// Faults are per shard: crash/recover local process `p` of shard `s`.
   /// `style` picks what the crash leaves on the WAL engine's medium.
   void submit_crash(std::uint32_t s, process_id p, time_ns at,
                     crash_style style = crash_style::clean);
   void submit_recover(std::uint32_t s, process_id p, time_ns at);
-  void apply(std::uint32_t s, const sim::fault_plan& plan, time_ns offset = 0);
 
   // ---- Execution ----
   /// Runs all shards until no events remain anywhere, advancing the S event
@@ -269,10 +285,14 @@ class shard_router final {
   void run_for(time_ns d);
 
   // ---- Synchronous convenience ----
-  /// Submit now + run the owning shard until the op completes, then advance
-  /// the other shards to the same instant (so sequential cross-shard calls
-  /// keep a meaningful global real-time order). During a window these follow
-  /// the same read-from-old/write-to-new discipline as the async surface.
+  /// submit() now, run the op's shard until the op is done
+  /// (cluster::run_until_done), then advance the other shards to the same
+  /// instant (so sequential cross-shard calls keep a meaningful global
+  /// real-time order) and run one pump_migration round. A window read's
+  /// write-back is therefore the one every asynchronous read gets: the
+  /// (tag, value) the read returned, anchored at the new shard before
+  /// read() returns. Throws driver_error if the op can never complete
+  /// (dropped or cut short).
   value read(process_id p, register_id reg);
   void write(process_id p, register_id reg, value v);
 
@@ -316,7 +336,8 @@ class shard_router final {
     process_id p;
     std::vector<sub_op> subs;
     /// Original position of each per-key result, in (sub, sub-batch-entry)
-    /// flattening order — inverse of the split's grouping by shard.
+    /// flattening order — inverse of the split's grouping by shard; empty
+    /// for an op that went to one shard unsplit.
     std::vector<std::uint32_t> original_pos;
     /// Outstanding cross-shard read write-backs gating completion.
     std::uint32_t writebacks_pending = 0;
@@ -339,16 +360,15 @@ class shard_router final {
     }
   };
 
-  void check_local(process_id p) const;
   [[nodiscard]] bool is_migrated(register_id reg) const noexcept {
     return migrated_.find(reg) != nullptr;
   }
-  /// Migration-aware routing for one key of a write (may hand the key off at
-  /// a quiet point) or a read (never migrates). Returns the shard to submit
-  /// to; for window reads on an old shard, *moved_read is set so the caller
-  /// registers the write-back.
-  std::uint32_t route_write_key(register_id reg);
-  std::uint32_t route_read_key(register_id reg, bool* moved_read);
+  /// Migration-aware routing for one key: returns the shard to submit to.
+  /// A write may hand the key off first (at a quiet point); a read never
+  /// migrates. *old_routed is set when a moved key still goes to its old
+  /// shard: always for a window read, for a write while the old shard is
+  /// busy with the key.
+  std::uint32_t route_key(register_id reg, bool is_read, bool* old_routed);
   /// True when the old shard has no live operation touching `reg`.
   [[nodiscard]] bool old_shard_quiet(register_id reg);
   /// Records a still-live old-shard op on moved key `reg` (blocks handoff).
@@ -362,14 +382,18 @@ class shard_router final {
   void pump_migration();
   /// Advances every shard's clock to `t` (no-op for shards already there).
   void sync_clocks_to(time_ns t);
+  /// The synchronous calls' run: each of op `h`'s shards until its sub-op
+  /// is done, then the other shards to the same instant and one
+  /// pump_migration round. False (nothing synced) if a sub-op never
+  /// completes.
+  bool run_until_done(op_handle h);
   void merge_result(const routed_op& op) const;
-  void register_writeback(std::size_t op_index);
 
   shard_router_config cfg_;
-  /// Advances disjoint shards between barriers (sequential or pooled — see
+  /// Advances disjoint shards between barriers (inline at one worker — see
   /// cfg_.workers). All cross-shard state above is touched only between
   /// run_indexed calls, on the calling thread.
-  std::unique_ptr<sim::shard_driver> driver_;
+  sim::worker_pool pool_;
   /// Per-shard idle flags for the chunked drain (each worker writes only its
   /// own slot; read after the barrier).
   std::vector<std::uint8_t> idle_scratch_;
@@ -392,13 +416,14 @@ class shard_router final {
   /// watermark is known terminal (ops complete roughly in submission order,
   /// so repeated window opens never re-walk settled history).
   std::size_t scan_from_ = 0;
-  // Scratch for batch routing: moved keys read from an old shard this call.
-  std::vector<std::vector<register_id>> wb_regs_scratch_;
 
-  // submit_*_batch scratch: per-shard grouping buffers (sized shard_count).
-  std::vector<std::vector<proto::write_op>> split_ops_;
-  std::vector<std::vector<register_id>> split_regs_;
+  // submit() scratch, empty between calls: each entry's shard, and per shard
+  // (sized shard_count) a split op's entries, their caller positions and the
+  // keys routed to that shard as their old owner.
+  std::vector<std::uint32_t> route_shard_;
+  std::vector<std::vector<proto::batch_entry>> split_;
   std::vector<std::vector<std::uint32_t>> split_pos_;
+  std::vector<std::vector<register_id>> old_routed_;
 };
 
 }  // namespace remus::core

@@ -1,6 +1,29 @@
 #include "proto/message.h"
 
+#include <utility>
+
 namespace remus::proto {
+
+std::vector<batch_entry> single_entry(register_id reg, value v) {
+  std::vector<batch_entry> entries(1);
+  entries[0].reg = reg;
+  entries[0].val = std::move(v);
+  return entries;
+}
+
+std::vector<batch_entry> write_entries(std::vector<write_op> ops) {
+  std::vector<batch_entry> entries;
+  entries.reserve(ops.size());
+  for (write_op& op : ops) entries.push_back({op.reg, {}, std::move(op.val)});
+  return entries;
+}
+
+std::vector<batch_entry> read_entries(const std::vector<register_id>& regs) {
+  std::vector<batch_entry> entries;
+  entries.reserve(regs.size());
+  for (const register_id reg : regs) entries.push_back({reg, {}, {}});
+  return entries;
+}
 
 std::string to_string(msg_kind k) {
   switch (k) {

@@ -78,11 +78,30 @@ struct batch_entry {
   friend bool operator==(const batch_entry&, const batch_entry&) = default;
 };
 
+/// An operation's register list names each register at most once: the one
+/// rule the core (precondition_error) and every driver (driver_error, before
+/// anything is recorded, routed or scheduled) enforce on an invocation.
+/// Quadratic: operations carry a handful of registers.
+[[nodiscard]] inline bool distinct_registers(std::span<const batch_entry> entries) noexcept {
+  for (std::size_t i = 1; i < entries.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (entries[j].reg == entries[i].reg) return false;
+    }
+  }
+  return true;
+}
+
 /// One register's share of a write invocation (the submit API's argument).
 struct write_op {
   register_id reg = default_register;
   value val;
 };
+
+/// The register lists the drivers' submit wrappers build: a single-key op
+/// is a list of one; a write's entries carry its values.
+[[nodiscard]] std::vector<batch_entry> single_entry(register_id reg, value v = {});
+[[nodiscard]] std::vector<batch_entry> write_entries(std::vector<write_op> ops);
+[[nodiscard]] std::vector<batch_entry> read_entries(const std::vector<register_id>& regs);
 
 /// A replica's note, attached to an update-round ack, that it holds a
 /// durable lease record for `reg`: bit h of `holder_mask` set means process

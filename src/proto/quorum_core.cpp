@@ -163,18 +163,14 @@ void quorum_core::start(outputs& out) {
 
 void quorum_core::start_op(const std::vector<batch_entry>& regs, bool is_read) {
   if (regs.empty()) throw precondition_error("quorum_core: operation on no register");
+  if (!distinct_registers(regs)) {
+    throw precondition_error("quorum_core: duplicate register in one operation");
+  }
   cl_.reset();
   cl_.op_seq = ++op_counter_;
   cl_.is_read = is_read;
   cl_.slot_count = static_cast<std::uint32_t>(regs.size());
-  for (std::uint32_t i = 0; i < cl_.slot_count; ++i) {
-    for (std::uint32_t j = 0; j < i; ++j) {
-      if (regs[j].reg == regs[i].reg) {
-        throw precondition_error("quorum_core: duplicate register in one operation");
-      }
-    }
-    claim_slot(i, regs[i].reg);
-  }
+  for (std::uint32_t i = 0; i < cl_.slot_count; ++i) claim_slot(i, regs[i].reg);
 }
 
 void quorum_core::invoke_write(const std::vector<batch_entry>& ops, outputs& out) {

@@ -176,8 +176,6 @@ class quorum_core final {
   /// Sequence number of the op in flight, or of a leased read (which
   /// completes at its invocation) until the next op; 0 otherwise.
   [[nodiscard]] std::uint64_t current_op_seq() const { return cl_.op_seq; }
-  /// Distinct registers this replica holds state for (diagnostics).
-  [[nodiscard]] std::size_t replica_register_count() const { return replicas_.size(); }
 
   /// Protocol-branch counters: which rare paths an execution actually took.
   /// The scenario fuzzer folds these into its coverage accounting so

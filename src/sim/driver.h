@@ -1,22 +1,24 @@
-// shard_driver: the execution-environment seam between protocol state and
-// the machinery that advances it.
+// worker_pool: the parallel-for that advances the simulator's independent
+// shards.
 //
 // The protocol layers are pure state machines driven by delivered inputs
 // (proto::quorum_core consumes messages/log-completions/timers and emits
 // effect batches; core::cluster folds one shard's worth of cores over a
-// deterministic event queue). What *advances* them is a driver. Three exist:
+// deterministic event queue). What *advances* them is one of:
 //
 //   * the deterministic simulator (core::cluster::run_* on one thread) — the
 //     original, still the default;
-//   * the multi-threaded simulator (core::shard_router + threaded_driver):
-//     S independent shards advanced concurrently on a worker pool, meeting
-//     only at virtual-time window barriers (see shard_router.h, "Parallel
-//     execution");
+//   * the multi-threaded simulator (core::shard_router on a worker_pool of
+//     more than one worker): S independent shards advanced concurrently,
+//     meeting only at virtual-time window barriers (see shard_router.h,
+//     "Parallel execution");
 //   * the real runtime (runtime::node over a runtime::transport — in-process
 //     datagrams or loopback TCP), where the clock is the wall clock.
 //
-// This header owns the worker-pool half: a minimal parallel-for with barrier
-// semantics. The contract is deliberately tiny so drivers stay swappable:
+// This header owns the pool: one class, a minimal parallel-for with barrier
+// semantics. At one worker (or fewer) it starts no thread and runs every
+// index inline, in order, on the caller — the sequential simulator is that
+// degenerate case, not a second implementation. The contract:
 //
 //   * each index in [0, count) is claimed by exactly one thread and fn runs
 //     for it exactly once;
@@ -25,9 +27,10 @@
 //   * fn must touch only state owned by its index (shard s's cluster) — the
 //     caller performs all cross-index work between run_indexed calls, which
 //     is exactly the shard router's window-barrier rule;
-//   * exceptions thrown by fn are captured and one of them is rethrown from
-//     run_indexed after the barrier (the others are dropped; remaining
-//     indices still run so the pool stays in a defined state).
+//   * with threads, exceptions thrown by fn are captured and one of them is
+//     rethrown from run_indexed after the barrier (the others are dropped;
+//     remaining indices still run so the pool stays in a defined state).
+//     Inline, an exception propagates at once.
 //
 // Determinism: the assignment of indices to threads is racy by design, but
 // no observable state depends on it — each index's work is confined to that
@@ -36,75 +39,36 @@
 // count (tests/parallel_driver_test.cpp pins it).
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace remus::sim {
 
-class shard_driver {
+class worker_pool {
  public:
-  virtual ~shard_driver() = default;
+  /// `workers - 1` threads plus the calling thread cooperate on each
+  /// run_indexed call (so workers == hardware_concurrency uses every core
+  /// without oversubscribing); `workers` <= 1 starts no thread.
+  explicit worker_pool(std::uint32_t workers);
+  ~worker_pool();
+  worker_pool(worker_pool&&) noexcept;
+  worker_pool& operator=(worker_pool&&) noexcept;
 
   /// Invoke fn(i) once for every i in [0, count), from at most workers()
-  /// threads, returning after all calls completed (barrier). See the file
-  /// comment for the full contract.
-  virtual void run_indexed(std::uint32_t count,
-                           const std::function<void(std::uint32_t)>& fn) = 0;
+  /// threads, returning after all calls completed (barrier). A single index
+  /// runs inline on the caller. See the file comment for the contract.
+  void run_indexed(std::uint32_t count, const std::function<void(std::uint32_t)>& fn);
 
-  /// Max threads that may run fn concurrently (>= 1; 1 = inline, no pool).
-  [[nodiscard]] virtual std::uint32_t workers() const noexcept = 0;
-};
-
-/// The single-threaded driver: runs every index inline on the caller.
-class sequential_driver final : public shard_driver {
- public:
-  void run_indexed(std::uint32_t count,
-                   const std::function<void(std::uint32_t)>& fn) override;
-  [[nodiscard]] std::uint32_t workers() const noexcept override { return 1; }
-};
-
-/// Persistent worker pool: `workers - 1` threads plus the calling thread
-/// cooperate on each run_indexed call (so workers == hardware_concurrency
-/// uses every core without oversubscribing). Index claiming is a single
-/// atomic counter — work-stealing granularity of one shard.
-class threaded_driver final : public shard_driver {
- public:
-  explicit threaded_driver(std::uint32_t workers);
-  ~threaded_driver() override;
-
-  threaded_driver(const threaded_driver&) = delete;
-  threaded_driver& operator=(const threaded_driver&) = delete;
-
-  void run_indexed(std::uint32_t count,
-                   const std::function<void(std::uint32_t)>& fn) override;
-  [[nodiscard]] std::uint32_t workers() const noexcept override { return workers_; }
+  /// Max threads that may run fn concurrently (>= 1; 1 = inline, no thread).
+  [[nodiscard]] std::uint32_t workers() const noexcept;
 
  private:
-  void worker_loop();
-  /// Claim indices from next_ until exhausted; record the first exception.
-  void work();
-
-  const std::uint32_t workers_;
-  std::mutex mu_;
-  std::condition_variable start_cv_;  // workers wait for a new round
-  std::condition_variable done_cv_;   // caller waits for the barrier
-  std::uint64_t round_ = 0;           // bumped per run_indexed call
-  std::uint32_t count_ = 0;
-  const std::function<void(std::uint32_t)>* fn_ = nullptr;
-  std::uint32_t next_ = 0;     // next unclaimed index (guarded by mu_)
-  std::uint32_t inflight_ = 0; // fn calls started but not finished
-  std::exception_ptr error_;
-  bool stop_ = false;
-  std::vector<std::thread> threads_;
+  /// The threads and the round they share; absent at one worker. Index
+  /// claiming is a single counter under its lock — work-stealing
+  /// granularity of one shard.
+  struct threads;
+  std::unique_ptr<threads> threads_;
 };
-
-/// workers <= 1 -> sequential_driver; otherwise a threaded_driver pool.
-[[nodiscard]] std::unique_ptr<shard_driver> make_shard_driver(std::uint32_t workers);
 
 }  // namespace remus::sim

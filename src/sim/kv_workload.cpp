@@ -112,4 +112,11 @@ std::vector<kv_op> make_kv_workload(const kv_workload_config& cfg) {
   return ops;
 }
 
+std::vector<proto::batch_entry> entries_of(const kv_op& op) {
+  std::vector<proto::batch_entry> entries;
+  entries.reserve(op.entries.size());
+  for (const kv_op::entry& e : op.entries) entries.push_back({e.reg, {}, e.val});
+  return entries;
+}
+
 }  // namespace remus::sim

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "common/value.h"
+#include "proto/message.h"
 
 namespace remus::sim {
 
@@ -93,5 +94,8 @@ struct kv_op {
 
 /// Generates the full deterministic schedule for `cfg`.
 [[nodiscard]] std::vector<kv_op> make_kv_workload(const kv_workload_config& cfg);
+
+/// `op`'s register list as the drivers' submit() takes it.
+[[nodiscard]] std::vector<proto::batch_entry> entries_of(const kv_op& op);
 
 }  // namespace remus::sim

@@ -248,33 +248,36 @@ TEST(Determinism, LeasedWalRunsKeepTheirPinnedDigest) {
   }
 }
 
-TEST(Determinism, GrowingRouterRunKeepsItsPinnedDigest) {
-  // A 2-shard router grows to 3 mid-workload: the digest covers the merged
-  // history, the tagged operations and the migration schedule.
+/// The pinned digest of growing_router_digest's run.
+constexpr std::uint64_t growing_router_pin = 0xbd8499b824e03501ULL;
+
+/// How a router run's workload reaches the router: the mix of entry points
+/// a client would use, every single-key op as a one-key batch, or every op
+/// through shard_router::submit. All three are one operation to the router.
+enum class entry_points { mixed, batches_only, submit_only };
+
+/// A 2-shard router grows to 3 mid-workload; the digest covers the merged
+/// history, the tagged operations and the migration schedule.
+std::uint64_t growing_router_digest(entry_points via) {
   shard_router_config cfg;
   cfg.shards = 2;
   cfg.base = make_cfg(17);
   cfg.base.n = 3;
   cfg.base.wal_storage = true;
   shard_router r(cfg);
-  sim::kv_workload_config wc;
-  wc.n = 3;
-  wc.key_count = 64;
-  wc.ops = 300;
-  wc.batch_size = 1;
-  wc.seed = 17;
-  for (const auto& op : sim::make_kv_workload(wc)) {
-    if (op.is_read) {
-      r.submit_read(op.p, op.entries[0].reg, op.at);
-    } else {
-      r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at);
+  const auto submit = [&](const sim::kv_op& op) {
+    if (via == entry_points::submit_only) {
+      r.submit(op.p, op.is_read, sim::entries_of(op), op.at);
+      return;
     }
-  }
-  wc.batch_size = 4;
-  wc.ops = 60;
-  wc.seed = 18;
-  wc.value_base = 1'000'000;
-  for (const auto& op : sim::make_kv_workload(wc)) {
+    if (op.entries.size() == 1 && via == entry_points::mixed) {
+      if (op.is_read) {
+        r.submit_read(op.p, op.entries[0].reg, op.at);
+      } else {
+        r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at);
+      }
+      return;
+    }
     std::vector<register_id> regs;
     std::vector<proto::write_op> ops;
     for (const auto& e : op.entries) {
@@ -286,13 +289,25 @@ TEST(Determinism, GrowingRouterRunKeepsItsPinnedDigest) {
     } else {
       r.submit_write_batch(op.p, ops, op.at);
     }
-  }
+  };
+  sim::kv_workload_config wc;
+  wc.n = 3;
+  wc.key_count = 64;
+  wc.ops = 300;
+  wc.batch_size = 1;
+  wc.seed = 17;
+  for (const auto& op : sim::make_kv_workload(wc)) submit(op);
+  wc.batch_size = 4;
+  wc.ops = 60;
+  wc.seed = 18;
+  wc.value_base = 1'000'000;
+  for (const auto& op : sim::make_kv_workload(wc)) submit(op);
   r.run_for(8_ms);
   r.begin_add_shard();
-  ASSERT_TRUE(r.run_until_idle());
-  ASSERT_TRUE(r.migration_drained());
+  EXPECT_TRUE(r.run_until_idle());
+  EXPECT_TRUE(r.migration_drained());
   r.finish_add_shard();
-  ASSERT_GT(r.migration_log().size(), 0u);
+  EXPECT_GT(r.migration_log().size(), 0u);
 
   std::uint64_t h = run_digest(r);
   for (const shard_router::migration_event& m : r.migration_log()) {
@@ -302,7 +317,21 @@ TEST(Determinism, GrowingRouterRunKeepsItsPinnedDigest) {
     fnv_mix(h, static_cast<std::uint64_t>(m.at));
     fnv_mix(h, static_cast<std::uint64_t>(m.why));
   }
-  EXPECT_EQ(h, 0xbd8499b824e03501ULL) << "digest 0x" << std::hex << h;
+  return h;
+}
+
+TEST(Determinism, GrowingRouterRunKeepsItsPinnedDigest) {
+  const std::uint64_t h = growing_router_digest(entry_points::mixed);
+  EXPECT_EQ(h, growing_router_pin) << "digest 0x" << std::hex << h;
+}
+
+TEST(Determinism, RouterEntryPointsRunOneOperation) {
+  // The single-key calls, one-key batches and submit() itself take one path
+  // through the router: the same workload gives the same pinned run.
+  for (const entry_points via : {entry_points::batches_only, entry_points::submit_only}) {
+    const std::uint64_t h = growing_router_digest(via);
+    EXPECT_EQ(h, growing_router_pin) << "digest 0x" << std::hex << h;
+  }
 }
 
 TEST(Determinism, DifferentSeedsDiverge) {

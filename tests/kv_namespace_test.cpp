@@ -180,10 +180,19 @@ TEST(KeyedCluster, BatchedWriteSurvivesBlackout) {
 }
 
 TEST(KeyedCluster, DuplicateRegisterInBatchRejected) {
+  // Refused at submission, before anything is recorded or scheduled: the
+  // core's precondition never fires inside the event loop, so p0 is not
+  // left with an op it can never finish.
   cluster c(cfg_of(proto::persistent_policy()));
   std::vector<proto::write_op> ops{{3, value_of_u32(1)}, {3, value_of_u32(2)}};
-  c.submit_write_batch(process_id{0}, ops, 0);
-  EXPECT_THROW(c.run_until_idle(), precondition_error);
+  EXPECT_THROW(c.submit_write_batch(process_id{0}, ops, 0), driver_error);
+  EXPECT_THROW(c.submit_read_batch(process_id{0}, {5, 6, 5}, 0), driver_error);
+  EXPECT_EQ(c.events_pending(), 0u);
+  EXPECT_THROW((void)c.result(0), driver_error);  // no handle was issued
+  ASSERT_TRUE(c.run_until_idle());
+  EXPECT_TRUE(c.events().empty());
+  c.write(process_id{0}, 7, value_of_u32(9));
+  EXPECT_EQ(value_as_u32(c.read(process_id{0}, 7)), 9u);
 }
 
 // ---------- Keyed recovery replay ----------

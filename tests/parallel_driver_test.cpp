@@ -1,6 +1,7 @@
-// Parallel simulator driver tests: the shard_driver contract (every index
-// exactly once, full barrier, exception capture) and the determinism pin the
-// whole parallelization rests on — same seed => bit-identical merged
+// Parallel simulator driver tests: the worker_pool contract (inline and in
+// order at one worker; every index exactly once, full barrier, exception
+// capture with threads) and the determinism pin the whole parallelization
+// rests on — same seed => bit-identical merged
 // history, tagged operations, and migration schedule at workers = 1, 2, and
 // hardware_concurrency, across fault-free, crash-heavy, migration-under-load,
 // and lease+corrupt-tail adversarial runs. Worker count must buy wall-clock
@@ -26,30 +27,43 @@
 namespace remus::sim {
 namespace {
 
-// ---------- shard_driver contract ----------
+// ---------- worker_pool contract ----------
 
-TEST(ShardDriver, FactoryPicksSequentialForOneWorker) {
-  EXPECT_EQ(make_shard_driver(0)->workers(), 1u);
-  EXPECT_EQ(make_shard_driver(1)->workers(), 1u);
-  EXPECT_EQ(make_shard_driver(4)->workers(), 4u);
+TEST(WorkerPool, OneWorkerOrFewerStartsNoThread) {
+  EXPECT_EQ(worker_pool(0).workers(), 1u);
+  EXPECT_EQ(worker_pool(1).workers(), 1u);
+  EXPECT_EQ(worker_pool(4).workers(), 4u);
 }
 
-TEST(ShardDriver, SequentialRunsEveryIndexInOrder) {
-  sequential_driver d;
+TEST(WorkerPool, OneWorkerRunsEveryIndexInOrderInline) {
+  worker_pool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::uint32_t> seen;
-  d.run_indexed(5, [&](std::uint32_t i) { seen.push_back(i); });
+  pool.run_indexed(5, [&](std::uint32_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen.push_back(i);
+  });
   EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
-  d.run_indexed(0, [&](std::uint32_t) { FAIL() << "count 0 must not call fn"; });
+  pool.run_indexed(0, [&](std::uint32_t) { FAIL() << "count 0 must not call fn"; });
+  // Inline, an exception propagates at once: later indices never run.
+  seen.clear();
+  EXPECT_THROW(pool.run_indexed(5,
+                                [&](std::uint32_t i) {
+                                  seen.push_back(i);
+                                  if (i == 2) throw std::runtime_error("index 2 failed");
+                                }),
+               std::runtime_error);
+  EXPECT_EQ(seen, (std::vector<std::uint32_t>{0, 1, 2}));
 }
 
-TEST(ShardDriver, ThreadedRunsEveryIndexExactlyOncePerRound) {
-  threaded_driver d(4);
+TEST(WorkerPool, RunsEveryIndexExactlyOncePerRound) {
+  worker_pool pool(4);
   constexpr std::uint32_t count = 64;
   // Many rounds on one pool: stale-worker and missed-wakeup bugs show up as
   // an index running twice (hits > 1) or never (hits == 0).
   for (int round = 0; round < 200; ++round) {
     std::vector<std::atomic<std::uint32_t>> hits(count);
-    d.run_indexed(count, [&](std::uint32_t i) {
+    pool.run_indexed(count, [&](std::uint32_t i) {
       hits[i].fetch_add(1, std::memory_order_relaxed);
     });
     for (std::uint32_t i = 0; i < count; ++i) {
@@ -58,15 +72,15 @@ TEST(ShardDriver, ThreadedRunsEveryIndexExactlyOncePerRound) {
   }
 }
 
-TEST(ShardDriver, RunIndexedIsAFullBarrier) {
-  threaded_driver d(4);
+TEST(WorkerPool, RunIndexedIsAFullBarrier) {
+  worker_pool pool(4);
   // After run_indexed returns, every fn call must have finished and its
   // writes must be visible to the caller (plain reads below, no atomics on
   // the payload: the barrier provides the happens-before edge).
   for (int round = 0; round < 50; ++round) {
     std::vector<std::uint64_t> out(32, 0);
     std::atomic<std::uint32_t> done{0};
-    d.run_indexed(32, [&](std::uint32_t i) {
+    pool.run_indexed(32, [&](std::uint32_t i) {
       out[i] = static_cast<std::uint64_t>(i) * 3 + 1;
       done.fetch_add(1, std::memory_order_relaxed);
     });
@@ -77,25 +91,25 @@ TEST(ShardDriver, RunIndexedIsAFullBarrier) {
   }
 }
 
-TEST(ShardDriver, RethrowsFirstExceptionAndStaysUsable) {
-  threaded_driver d(3);
+TEST(WorkerPool, RethrowsFirstExceptionAndStaysUsable) {
+  worker_pool pool(3);
   EXPECT_THROW(
-      d.run_indexed(16,
-                    [&](std::uint32_t i) {
-                      if (i == 7) throw std::runtime_error("index 7 failed");
-                    }),
+      pool.run_indexed(16,
+                       [&](std::uint32_t i) {
+                         if (i == 7) throw std::runtime_error("index 7 failed");
+                       }),
       std::runtime_error);
   // The pool must be back in a defined state: the next round runs normally.
   std::atomic<std::uint32_t> ran{0};
-  d.run_indexed(16, [&](std::uint32_t) { ran.fetch_add(1); });
+  pool.run_indexed(16, [&](std::uint32_t) { ran.fetch_add(1); });
   EXPECT_EQ(ran.load(), 16u);
 }
 
-TEST(ShardDriver, SingleIndexRunsInlineOnCaller) {
-  threaded_driver d(4);
+TEST(WorkerPool, SingleIndexRunsInlineOnCaller) {
+  worker_pool pool(4);
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id ran_on{};
-  d.run_indexed(1, [&](std::uint32_t) { ran_on = std::this_thread::get_id(); });
+  pool.run_indexed(1, [&](std::uint32_t) { ran_on = std::this_thread::get_id(); });
   // One index has no parallelism to exploit; running it on the caller skips
   // a pointless wakeup round-trip.
   EXPECT_EQ(ran_on, caller);

@@ -577,24 +577,86 @@ TEST(ShardRouterMigration, WriteDuringWindowHandsTheKeyOffWithDominatingTag) {
 }
 
 TEST(ShardRouterMigration, WindowReadAnchorsStateAtTheDestination) {
+  using fault = shard_router_config::injected_fault;
+  for (const fault f : {fault::none, fault::skip_read_writeback}) {
+    SCOPED_TRACE(f == fault::none ? "write-back on" : "write-back skipped");
+    shard_router_config cfg = router_cfg(2);
+    cfg.test_fault = f;
+    shard_router r(cfg);
+    const auto moved = moved_keys_on_grow(r, 64);
+    ASSERT_FALSE(moved.empty());
+    const register_id reg = moved.front();
+    r.write(process_id{0}, reg, value_of_u32(7));
+    const std::uint32_t added = r.begin_add_shard();
+    // A later read keeps the old shard busy with the key, so the drain
+    // cannot hand it off while the synchronous read below runs: whatever
+    // state the destination holds afterwards came from that read.
+    r.submit_read(process_id{2}, reg, r.now() + 10_ms);
+
+    // A window read serves from the old shard, then writes the result back
+    // onto the new shard before returning (cross-shard two-phase read),
+    // through the same write-back as an asynchronous read. The key itself
+    // is NOT handed off by a read.
+    EXPECT_EQ(value_as_u32(r.read(process_id{1}, reg)), 7u);
+    std::size_t writebacks = 0;
+    for (const auto& m : r.migration_log()) {
+      if (m.reg == reg) {
+        EXPECT_EQ(m.why, shard_router::migration_event::cause::read_writeback);
+        writebacks += 1;
+      }
+    }
+    const auto snap = r.shard(added).export_register(reg);
+    if (f == fault::none) {
+      EXPECT_EQ(writebacks, 1u);
+      EXPECT_TRUE(snap.has_state);
+      EXPECT_EQ(value_as_u32(snap.written_val), 7u);
+    } else {
+      EXPECT_EQ(writebacks, 0u);
+      EXPECT_FALSE(snap.has_state);  // the planted bug reaches synchronous reads
+    }
+
+    ASSERT_TRUE(r.run_until_idle());
+    r.finish_add_shard();
+    EXPECT_EQ(value_as_u32(r.read(process_id{2}, reg)), 7u);
+  }
+}
+
+TEST(ShardRouterMigration, RepeatedKeyBatchIsRefusedBeforeAnyKeyIsRouted) {
+  // A cross-shard batch naming a register twice is refused whole: no sub-op
+  // reaches any shard, and no key is routed — routing a window write's
+  // moved key would hand it off.
   shard_router r(router_cfg(2));
   const auto moved = moved_keys_on_grow(r, 64);
   ASSERT_FALSE(moved.empty());
-  const register_id reg = moved.front();
-  r.write(process_id{0}, reg, value_of_u32(7));
-  const std::uint32_t added = r.begin_add_shard();
+  const register_id hot = moved.front();
+  register_id other = 0;
+  while (r.shard_of(other) == r.shard_of(hot)) ++other;
+  r.begin_add_shard();
 
-  // A window read serves from the old shard, then writes the result back
-  // onto the new shard before reporting completion (cross-shard two-phase
-  // read). The key itself is NOT handed off by a read.
-  EXPECT_EQ(value_as_u32(r.read(process_id{1}, reg)), 7u);
-  const auto snap = r.shard(added).export_register(reg);
-  EXPECT_TRUE(snap.has_state);
-  EXPECT_EQ(value_as_u32(snap.written_val), 7u);
+  EXPECT_THROW(r.submit_write_batch(process_id{0},
+                                    {{hot, value_of_u32(1)},
+                                     {other, value_of_u32(2)},
+                                     {hot, value_of_u32(3)}},
+                                    r.now()),
+               driver_error);
+  EXPECT_THROW(r.submit_read_batch(process_id{1}, {other, hot, other}, r.now()),
+               driver_error);
+  EXPECT_TRUE(r.migration_log().empty());
+  EXPECT_EQ(r.migrated_key_count(), 0u);
+  EXPECT_EQ(r.events_pending(), 0u);
+  EXPECT_THROW((void)r.result(0), driver_error);
+  for (std::uint32_t s = 0; s < r.shard_count(); ++s) {
+    EXPECT_THROW((void)r.shard(s).result(0), driver_error) << "shard " << s;
+  }
 
+  // The router keeps serving: the same keys, once each, hand `hot` off.
+  const auto h = r.submit_write_batch(
+      process_id{0}, {{hot, value_of_u32(4)}, {other, value_of_u32(5)}}, r.now());
   ASSERT_TRUE(r.run_until_idle());
+  EXPECT_TRUE(r.result(h).completed);
+  ASSERT_TRUE(r.migration_drained());
   r.finish_add_shard();
-  EXPECT_EQ(value_as_u32(r.read(process_id{2}, reg)), 7u);
+  EXPECT_EQ(value_as_u32(r.read(process_id{2}, hot)), 4u);
 }
 
 TEST(ShardRouterMigration, AsyncWindowReadCompletesOnlyAfterWriteback) {
