@@ -24,9 +24,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
+#include <utility>
 
 #include "common/value.h"
 #include "storage/stable_store.h"
@@ -53,13 +53,34 @@ inline constexpr std::size_t wal_frame_overhead = 14;
 [[nodiscard]] std::uint32_t crc32_of(std::span<const std::uint8_t> data) noexcept;
 
 /// Incremental form for split buffers; start from crc32_init and finish
-/// with crc32_final.
+/// with crc32_final. Runs crc32_kernels::folding on a CPU that supports it
+/// (checked once per process) and crc32_kernels::sliced elsewhere.
 inline constexpr std::uint32_t crc32_init = 0xFFFFFFFFu;
 [[nodiscard]] std::uint32_t crc32_update(std::uint32_t state,
                                          std::span<const std::uint8_t> data) noexcept;
 [[nodiscard]] constexpr std::uint32_t crc32_final(std::uint32_t state) noexcept {
   return state ^ 0xFFFFFFFFu;
 }
+
+/// The two kernels behind crc32_update, public so that tests check each one
+/// on every host that can run it. Both take and return the same state as
+/// crc32_update, and they agree bit for bit.
+namespace crc32_kernels {
+
+/// Slicing-by-8 table lookups: the portable kernel.
+[[nodiscard]] std::uint32_t sliced(std::uint32_t state,
+                                   std::span<const std::uint8_t> data) noexcept;
+
+/// Whether this CPU can run `folding` (x86-64 with PCLMULQDQ).
+[[nodiscard]] bool folding_supported() noexcept;
+
+/// Carry-less-multiply folding over the 16-byte blocks of a span of 32
+/// bytes or more; `sliced` takes the tail and any shorter span.
+/// Precondition: folding_supported().
+[[nodiscard]] std::uint32_t folding(std::uint32_t state,
+                                    std::span<const std::uint8_t> data) noexcept;
+
+}  // namespace crc32_kernels
 
 /// Appends one framed record to `out` (existing contents untouched).
 void append_wal_frame(bytes& out, wal_frame_kind kind, record_key key,
@@ -91,11 +112,87 @@ struct wal_scan_result {
   std::uint64_t frames = 0;  // intact frames delivered to the callback
 };
 
+namespace wal_detail {
+
+/// Little-endian load from bytes, independent of the host's byte order
+/// (compilers fold it into one load on little-endian targets).
+[[nodiscard]] inline std::uint32_t load_le32(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) | (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
+[[nodiscard]] constexpr bool valid_area(std::uint8_t a) noexcept {
+  return a == static_cast<std::uint8_t>(record_area::writing) ||
+         a == static_cast<std::uint8_t>(record_area::written) ||
+         a == static_cast<std::uint8_t>(record_area::recovered) ||
+         a == static_cast<std::uint8_t>(record_area::lease);
+}
+
+/// The callback of a pure validation scan: `scan_wal(log, {})`.
+struct ignore_frame {
+  void operator()(const wal_frame&) const noexcept {}
+};
+
+}  // namespace wal_detail
+
 /// Scans `log` front to back, invoking `fn` for each intact frame, and
 /// stops at the first torn/corrupt/impossible frame. Never throws on any
-/// input: arbitrary garbage classifies as one of the stop reasons. `fn`
-/// may be empty (pure validation).
-wal_scan_result scan_wal(std::span<const std::uint8_t> log,
-                         const std::function<void(const wal_frame&)>& fn);
+/// input (unless `fn` does): arbitrary garbage classifies as one of the
+/// stop reasons. `fn` is called directly, so replay pays no indirect call
+/// per frame; `{}` scans for validation only.
+template <typename Fn = wal_detail::ignore_frame>
+wal_scan_result scan_wal(std::span<const std::uint8_t> log, Fn&& fn = {}) {
+  using wal_detail::load_le32;
+  wal_scan_result r;
+  std::size_t at = 0;
+  while (at < log.size()) {
+    // A partial length field is itself a torn frame (crash during the very
+    // first bytes of an append).
+    if (log.size() - at < 4) {
+      r.stop = wal_scan_stop::torn_frame;
+      break;
+    }
+    const std::uint32_t len = load_le32(log.data() + at);
+    if (len < wal_frame_overhead - 4) {
+      r.stop = wal_scan_stop::bad_frame;
+      break;
+    }
+    if (len > log.size() - at - 4) {
+      r.stop = wal_scan_stop::torn_frame;
+      break;
+    }
+    const std::size_t frame_size = static_cast<std::size_t>(len) + 4;
+    const std::uint32_t stored_crc = load_le32(log.data() + at + frame_size - 4);
+    if (stored_crc != crc32_of(log.subspan(at, frame_size - 4))) {
+      r.stop = wal_scan_stop::bad_crc;
+      break;
+    }
+    const std::uint8_t kind = log[at + 4];
+    const std::uint8_t area = log[at + 5];
+    const bool kind_ok = kind == static_cast<std::uint8_t>(wal_frame_kind::record) ||
+                         kind == static_cast<std::uint8_t>(wal_frame_kind::tombstone);
+    const std::size_t payload_size = frame_size - wal_frame_overhead;
+    const bool shape_ok =
+        kind_ok && wal_detail::valid_area(area) &&
+        (kind != static_cast<std::uint8_t>(wal_frame_kind::tombstone) ||
+         payload_size == 0);
+    if (!shape_ok) {
+      r.stop = wal_scan_stop::bad_frame;
+      break;
+    }
+    wal_frame f;
+    f.kind = static_cast<wal_frame_kind>(kind);
+    f.key = record_key{static_cast<record_area>(area), load_le32(log.data() + at + 6)};
+    f.payload = log.subspan(at + 10, payload_size);
+    f.offset = at;
+    f.size = frame_size;
+    std::forward<Fn>(fn)(f);
+    at += frame_size;
+    r.frames += 1;
+  }
+  r.consumed = at;
+  return r;
+}
 
 }  // namespace remus::storage

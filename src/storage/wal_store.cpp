@@ -33,31 +33,40 @@ class fd_closer {
   int fd_;
 };
 
-/// Reads the whole image at `p` into `out`, sized by fstat, with read()
-/// calls until that size or EOF (one call in practice). Only an absent
-/// file reads as an empty image: any other failure throws, because an
-/// unreadable image recovered as empty would let the next compaction
-/// overwrite the real one.
-void read_file(const std::filesystem::path& p, bytes& out) {
-  out.clear();
-  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    if (errno == ENOENT) return;
-    fail_media("open " + p.string());
-  }
-  const fd_closer closer(fd);  // after fail_media has read errno
+/// Reads the whole file behind `fd` (named `p` in errors) into `out`, sized
+/// by fstat, with pread() calls from offset 0 until that size or EOF (one
+/// call in practice). `out` keeps its capacity, and the bytes it already
+/// holds are overwritten, not zeroed first.
+void read_image(int fd, const std::filesystem::path& p, bytes& out) {
   struct stat st {};
   if (::fstat(fd, &st) != 0) fail_media("fstat " + p.string());
   out.resize(static_cast<std::size_t>(st.st_size));
   std::size_t off = 0;
   while (off < out.size()) {
-    const ssize_t n = ::read(fd, out.data() + off, out.size() - off);
+    const ssize_t n =
+        ::pread(fd, out.data() + off, out.size() - off, static_cast<off_t>(off));
     if (n < 0 && errno == EINTR) continue;
     if (n < 0) fail_media("read " + p.string());
     if (n == 0) break;  // shrank since fstat
     off += static_cast<std::size_t>(n);
   }
   out.resize(off);
+}
+
+/// Opens the image at `p` and reads it whole. Only an absent file reads as
+/// an empty image: any other failure throws, because an unreadable image
+/// recovered as empty would let the next compaction overwrite the real one.
+void read_file(const std::filesystem::path& p, bytes& out) {
+  const int fd = ::open(p.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      out.clear();
+      return;
+    }
+    fail_media("open " + p.string());
+  }
+  const fd_closer closer(fd);  // after fail_media has read errno
+  read_image(fd, p, out);
 }
 
 }  // namespace
@@ -73,21 +82,19 @@ file_media::file_media(std::filesystem::path dir, bool fsync_enabled)
       std::filesystem::remove(entry.path(), ec);
     }
   }
-  open_log();
-}
-
-file_media::~file_media() {
-  if (log_fd_ >= 0) ::close(log_fd_);
-}
-
-void file_media::open_log() {
-  if (log_fd_ >= 0) ::close(log_fd_);
-  log_fd_ = ::open((dir_ / "wal.log").c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+  // Held for the media's lifetime: appends and truncates write through it
+  // and load() reads through it, so the log is never closed between
+  // compactions (a close of a file truncated to 0 and refilled without
+  // fsync starts writeback of its dirty pages on ext4).
+  log_fd_ = ::open((dir_ / "wal.log").c_str(),
+                   O_RDWR | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (log_fd_ < 0) fail_media("open " + (dir_ / "wal.log").string());
 }
 
+file_media::~file_media() { ::close(log_fd_); }
+
 void file_media::sync_dir() const {
-  const int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY);
+  const int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return;  // best effort; some filesystems refuse dir fsync
   ::fsync(fd);
   ::close(fd);
@@ -107,7 +114,7 @@ void file_media::install_snapshot(const bytes& snapshot) {
   const auto target = dir_ / "snapshot";
   auto tmp = target;
   tmp += ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) fail_media("open " + tmp.string());
   std::size_t off = 0;
   while (off < snapshot.size()) {
@@ -138,8 +145,9 @@ void file_media::truncate_log(std::size_t size) {
 }
 
 void file_media::load(bytes& snapshot, bytes& log) const {
+  // Compaction replaces the snapshot by rename, so it is opened afresh.
   read_file(dir_ / "snapshot", snapshot);
-  read_file(dir_ / "wal.log", log);
+  read_image(log_fd_, dir_ / "wal.log", log);
 }
 
 void file_media::wipe() {
@@ -279,8 +287,11 @@ void wal_store::maybe_compact() {
 }
 
 void wal_store::reopen() {
-  bytes snapshot;
-  bytes log;
+  // The images land in this thread's pair of buffers, which keep their
+  // capacity (and mapped pages) for the next reopen on the thread. One pair
+  // per thread, not per store: a simulator hosting many replicas keeps one.
+  thread_local bytes snapshot;
+  thread_local bytes log;
   media_->load(snapshot, log);
 
   // Replay refills the payload buffers of the records it replaces (and of

@@ -58,9 +58,10 @@ class wal_media {
   /// valid prefix length when recovery discards a torn tail).
   virtual void truncate_log(std::size_t size) = 0;
 
-  /// Reads both images back (recovery). An absent image reads as empty;
-  /// one that exists but cannot be read throws (corrupt content is not
-  /// an error here: replay classifies it).
+  /// Reads both images back (recovery), replacing the buffers' contents
+  /// but keeping their capacity. An absent image reads as empty; one that
+  /// exists but cannot be read throws (corrupt content is not an error
+  /// here: replay classifies it).
   virtual void load(bytes& snapshot, bytes& log) const = 0;
 
   /// Removes both images (fresh install, not crash recovery).
@@ -95,11 +96,16 @@ class memory_media final : public wal_media {
 /// File media for the threaded runtime: `dir/snapshot` + `dir/wal.log`,
 /// appends fsynced before return (the paper's synchronous-file discipline,
 /// section V-A). The constructor sweeps stray `*.tmp` left by a crash
-/// mid-install.
+/// mid-install and opens `wal.log` once: appends, truncates and load() all
+/// go through that descriptor, while load() opens the snapshot (replaced
+/// by rename at every compaction) each time. Every descriptor is
+/// close-on-exec, so a child the process execs inherits none.
 class file_media final : public wal_media {
  public:
   explicit file_media(std::filesystem::path dir, bool fsync_enabled = true);
   ~file_media() override;
+  file_media(const file_media&) = delete;
+  file_media& operator=(const file_media&) = delete;
 
   void append_log(std::span<const std::uint8_t> data) override;
   void install_snapshot(const bytes& snapshot) override;
@@ -110,7 +116,6 @@ class file_media final : public wal_media {
   [[nodiscard]] const std::filesystem::path& directory() const { return dir_; }
 
  private:
-  void open_log();
   void sync_dir() const;
 
   std::filesystem::path dir_;
@@ -158,7 +163,9 @@ class wal_store final : public stable_store {
   /// log tail is truncated on the media so later appends extend the valid
   /// prefix. Never throws on corrupt *content*; an image the media cannot
   /// read (an I/O error, not an absent file) throws before the index is
-  /// touched. Replay reuses the payload buffers of the records it replaces.
+  /// touched. The images load into buffers the calling thread keeps for
+  /// its next reopen (one pair per thread, not per store), and replay
+  /// reuses the payload buffers of the records it replaces.
   void reopen();
 
   /// Crash injection: raw bytes appended to the log image without

@@ -1,7 +1,8 @@
-// Unit tests for the WAL engine: frame codec, scanner stop classification,
-// the log-structured store (append, tombstones, compaction, recovery
-// accounting), the corruption matrix (every single-bit flip of the final
-// frame, every truncation offset), and the file-backed media.
+// Unit tests for the WAL engine: frame codec and both CRC32 kernels,
+// scanner stop classification, the log-structured store (append,
+// tombstones, compaction, recovery accounting), the corruption matrix
+// (every single-bit flip of the final frame, every truncation offset), and
+// the file-backed media.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <sys/resource.h>
@@ -12,6 +13,7 @@
 #include <cerrno>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -76,29 +78,51 @@ std::uint32_t reference_crc32(std::span<const std::uint8_t> data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-TEST(WalFormat, SlicedCrcMatchesABytewiseReference) {
+/// Checks one CRC32 kernel (state in, state out, as crc32_update) against
+/// the bytewise reference: every length 0-1024 from every start alignment
+/// 0-15, a few spans of 64 KB and more, and every split point of the
+/// incremental form across the folding kernel's 32- and 64-byte thresholds.
+template <typename Kernel>
+void expect_kernel_matches_reference(Kernel kernel) {
   rng r(0x43524333);
-  bytes buf(8 + 300);
+  bytes buf(16 + (256 << 10) + 64);
   for (std::uint8_t& x : buf) x = static_cast<std::uint8_t>(r.next_below(256));
   const std::span<const std::uint8_t> all(buf);
-  // Every length across the 8-byte slicing boundary and its tail, from
-  // every alignment of the start.
-  for (std::size_t off = 0; off < 8; ++off) {
-    for (std::size_t len = 0; len <= 300; ++len) {
+  const auto crc = [&](std::span<const std::uint8_t> s) {
+    return crc32_final(kernel(crc32_init, s));
+  };
+  for (std::size_t off = 0; off < 16; ++off) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
       const auto s = all.subspan(off, len);
-      const std::uint32_t want = reference_crc32(s);
-      ASSERT_EQ(crc32_of(s), want) << "offset " << off << " length " << len;
-      ASSERT_EQ(crc32_final(crc32_update(crc32_init, s)), want)
-          << "offset " << off << " length " << len;
+      ASSERT_EQ(crc(s), reference_crc32(s)) << "offset " << off << " length " << len;
     }
   }
-  // Every split point of the incremental form.
+  for (const std::size_t len : {std::size_t{64} << 10, (std::size_t{64} << 10) + 15,
+                                (std::size_t{128} << 10) + 33, std::size_t{256} << 10}) {
+    for (const std::size_t off : {0, 1, 7}) {
+      const auto s = all.subspan(off, len);
+      ASSERT_EQ(crc(s), reference_crc32(s)) << "offset " << off << " length " << len;
+    }
+  }
   const auto whole = all.subspan(3, 300);
   const std::uint32_t want = reference_crc32(whole);
   for (std::size_t cut = 0; cut <= whole.size(); ++cut) {
-    const std::uint32_t st = crc32_update(crc32_init, whole.first(cut));
-    ASSERT_EQ(crc32_final(crc32_update(st, whole.subspan(cut))), want) << "split " << cut;
+    const std::uint32_t st = kernel(crc32_init, whole.first(cut));
+    ASSERT_EQ(crc32_final(kernel(st, whole.subspan(cut))), want) << "split " << cut;
   }
+}
+
+TEST(WalFormat, SlicedCrcMatchesABytewiseReference) {
+  expect_kernel_matches_reference(crc32_kernels::sliced);
+  // crc32_update runs whichever kernel this CPU has.
+  expect_kernel_matches_reference(crc32_update);
+}
+
+TEST(WalFormat, FoldingCrcMatchesABytewiseReference) {
+  if (!crc32_kernels::folding_supported()) {
+    GTEST_SKIP() << "this CPU lacks PCLMULQDQ: only the sliced CRC32 kernel runs here";
+  }
+  expect_kernel_matches_reference(crc32_kernels::folding);
 }
 
 TEST(WalFormat, FrameRoundTripsThroughTheScanner) {
@@ -700,6 +724,85 @@ TEST_F(WalFileMediaTest, TornTailOnDiskIsTruncatedAtRecovery) {
   EXPECT_EQ(st2.last_recovery().log_stop, wal_scan_stop::torn_frame);
   wal_store st3(std::make_unique<file_media>(dir_, false));
   EXPECT_EQ(st3.last_recovery().log_stop, wal_scan_stop::clean_end);
+}
+
+/// The file at `p` as std::ifstream reads it; an absent file reads as empty.
+bytes file_bytes(const std::filesystem::path& p) {
+  std::ifstream f(p, std::ios::binary);
+  return bytes(std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>());
+}
+
+TEST_F(WalFileMediaTest, LoadReturnsExactlyTheOnDiskImages) {
+  bytes log;
+  for (std::uint8_t i = 0; i < 40; ++i) {
+    append_wal_frame(log, wal_frame_kind::record, record_key{record_area::written, i},
+                     bytes(i, i));
+  }
+  file_media media(dir_, /*fsync_enabled=*/false);
+  // One pair of buffers across every load, as reopen() keeps them: each
+  // load must replace what the last one left, longer or shorter.
+  bytes snap_buf(100000, 0xAB);
+  bytes log_buf(3, 0xCD);
+  const auto expect_on_disk = [&](const char* step) {
+    media.load(snap_buf, log_buf);
+    EXPECT_EQ(snap_buf, file_bytes(dir_ / "snapshot")) << step;
+    EXPECT_EQ(log_buf, file_bytes(dir_ / "wal.log")) << step;
+  };
+  expect_on_disk("fresh");
+  EXPECT_TRUE(snap_buf.empty());
+  EXPECT_TRUE(log_buf.empty());
+
+  media.append_log(std::span(log).first(log.size() / 2));
+  media.append_log(std::span(log).subspan(log.size() / 2));
+  expect_on_disk("after appends");
+  EXPECT_EQ(log_buf, log);
+
+  media.truncate_log(log.size() - 5);  // a torn tail cut at recovery
+  expect_on_disk("after a torn-tail truncate");
+  EXPECT_EQ(log_buf.size(), log.size() - 5);
+
+  media.install_snapshot(log);
+  media.truncate_log(0);
+  media.append_log(std::span(log).first(wal_frame_size(0)));
+  expect_on_disk("after a snapshot install");
+  EXPECT_EQ(snap_buf, log);
+  EXPECT_EQ(log_buf.size(), wal_frame_size(0));
+
+  {
+    // A second media on the same directory sees the same images.
+    file_media other(dir_, false);
+    bytes s2, l2;
+    other.load(s2, l2);
+    EXPECT_EQ(s2, snap_buf);
+    EXPECT_EQ(l2, log_buf);
+  }
+
+  media.wipe();
+  expect_on_disk("after wipe");
+  EXPECT_TRUE(snap_buf.empty());
+  EXPECT_TRUE(log_buf.empty());
+}
+
+TEST_F(WalFileMediaTest, EveryMediaDescriptorIsCloseOnExec) {
+  // A process that execs children (examples/sharded_kv spawns replicas) must
+  // not hand them its WAL descriptors.
+  wal_store_config cfg;
+  cfg.compact_min_bytes = 128;
+  wal_store st(std::make_unique<file_media>(dir_, /*fsync_enabled=*/true), cfg);
+  for (std::uint8_t i = 0; i < 30; ++i) st.store(written0, b({i, i, i}));
+  ASSERT_GT(st.compactions(), 0u);
+  st.reopen();
+  const auto media_dir = std::filesystem::canonical(dir_);
+  std::size_t into_media = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code ec;
+    const auto target = std::filesystem::read_symlink(entry.path(), ec);
+    if (ec || (target != media_dir && target.parent_path() != media_dir)) continue;
+    ++into_media;
+    const int fd = std::stoi(entry.path().filename().string());
+    EXPECT_NE(::fcntl(fd, F_GETFD) & FD_CLOEXEC, 0) << target;
+  }
+  EXPECT_GE(into_media, 1u);  // the held wal.log descriptor
 }
 
 }  // namespace
