@@ -23,7 +23,7 @@ void print_paper_table() {
     t.add_row({pol.name, "write", metrics::table::num(w.round_trips.mean(), 1),
                metrics::table::num(2 * w.round_trips.mean(), 1),
                metrics::table::num(w.messages.mean(), 1)});
-    const auto r = measure_reads(paper_testbed(pol, kN), kReps, false);
+    const auto r = measure_reads(paper_testbed(pol, kN), kReps, read_mode::quiet);
     t.add_row({pol.name, "read", metrics::table::num(r.round_trips.mean(), 1),
                metrics::table::num(2 * r.round_trips.mean(), 1),
                metrics::table::num(r.messages.mean(), 1)});

@@ -1,21 +1,18 @@
-// Shared helpers for the benchmark harness.
+// Shared helpers for the paper-figure benches.
 //
 // Every paper-figure bench binary prints a table shaped like the
 // corresponding paper figure, in virtual time, and exits 0.
 //
 // The cost model is calibrated to the paper's constants (sections I-A, V-A):
 // one-way LAN transit ~0.1 ms, one small synchronous log ~0.2 ms, 100 Mbps
-// wire, IDE-class disk bandwidth, negligible CPU cost.
+// wire, IDE-class disk bandwidth, negligible CPU cost. paper_testbed is also
+// the cost model of perfbench's simulator workloads and of the tests that
+// gate capacity and traffic figures.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
-#include <string_view>
 #include <utility>
-#include <vector>
 
 #include "core/cluster.h"
 #include "metrics/op_metrics.h"
@@ -24,101 +21,6 @@
 #include "proto/policy.h"
 
 namespace remus::bench {
-
-// ---- Machine-readable results ------------------------------------------------
-//
-// Every bench binary can emit its headline numbers as a flat JSON object so
-// the perf trajectory is trackable across PRs (`BENCH_<name>.json`). Pass
-// `--json` to write the default file or `--json=PATH` to choose the location.
-
-class json_report {
- public:
-  explicit json_report(std::string name) : name_(std::move(name)) {}
-
-  void set(std::string key, double v) {
-    char buf[64];
-    if (v == static_cast<double>(static_cast<long long>(v))) {
-      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    } else {
-      std::snprintf(buf, sizeof buf, "%.6g", v);
-    }
-    entries_.emplace_back(std::move(key), buf);
-  }
-
-  void set(std::string key, std::string_view v) {
-    std::string quoted = "\"";
-    for (const char c : v) {
-      if (c == '"' || c == '\\') quoted += '\\';
-      quoted += c;
-    }
-    quoted += '"';
-    entries_.emplace_back(std::move(key), std::move(quoted));
-  }
-
-  [[nodiscard]] std::string render() const {
-    std::string out = "{\n  \"bench\": \"" + name_ + "\"";
-    for (const auto& [k, v] : entries_) out += ",\n  \"" + k + "\": " + v;
-    out += "\n}\n";
-    return out;
-  }
-
-  bool write(const std::string& path) const {
-    std::ofstream f(path);
-    if (!f) return false;
-    f << render();
-    return static_cast<bool>(f);
-  }
-
-  /// Honors `--json` / `--json=PATH` on the command line; returns true if a
-  /// file was written (default path: BENCH_<name>.json in the working dir).
-  /// An unwritable path is reported on stderr rather than ignored.
-  bool write_if_requested(int argc, char** argv) const {
-    for (int i = 1; i < argc; ++i) {
-      const std::string_view arg = argv[i];
-      std::string path;
-      if (arg == "--json") {
-        path = "BENCH_" + name_ + ".json";
-      } else if (arg.rfind("--json=", 0) == 0) {
-        path = std::string(arg.substr(7));
-      } else {
-        continue;
-      }
-      if (write(path)) return true;
-      std::fprintf(stderr, "warning: could not write bench results to %s\n",
-                   path.c_str());
-      return false;
-    }
-    return false;
-  }
-
- private:
-  std::string name_;
-  std::vector<std::pair<std::string, std::string>> entries_;  // key -> literal
-};
-
-[[nodiscard]] inline bool flag_present(int argc, char** argv, std::string_view flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (flag == argv[i]) return true;
-  }
-  return false;
-}
-
-/// Parses `--flag N` / `--flag=N`; returns `fallback` when absent.
-[[nodiscard]] inline std::uint32_t flag_u32(int argc, char** argv, std::string_view flag,
-                                            std::uint32_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == flag && i + 1 < argc) {
-      return static_cast<std::uint32_t>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
-        arg[flag.size()] == '=') {
-      return static_cast<std::uint32_t>(
-          std::strtoul(arg.data() + flag.size() + 1, nullptr, 10));
-    }
-  }
-  return fallback;
-}
 
 /// Configuration mirroring the paper's testbed (section V-A).
 inline core::cluster_config paper_testbed(proto::protocol_policy pol, std::uint32_t n,
@@ -240,13 +142,6 @@ inline latency_result measure_reads(const core::cluster_config& cfg, int reps,
     }
   }
   return out;
-}
-
-/// Back-compat shim for boolean call sites.
-inline latency_result measure_reads(const core::cluster_config& cfg, int reps,
-                                    bool concurrent_writer) {
-  return measure_reads(cfg, reps,
-                       concurrent_writer ? read_mode::racing : read_mode::quiet);
 }
 
 inline std::string fmt_us(double us) { return metrics::table::num(us, 0); }

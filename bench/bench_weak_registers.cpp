@@ -24,7 +24,7 @@ void print_paper_table() {
   for (const auto& pol :
        {proto::abd_swmr_policy(), proto::regular_swmr_policy(), proto::safe_swmr_policy()}) {
     const auto w = measure_writes(paper_testbed(pol, kN), 4, kReps);
-    const auto r = measure_reads(paper_testbed(pol, kN), kReps, false);
+    const auto r = measure_reads(paper_testbed(pol, kN), kReps, read_mode::quiet);
     t.add_row({pol.name, fmt_us(w.latency_us.mean()),
                metrics::table::num(w.round_trips.mean(), 0), fmt_us(r.latency_us.mean()),
                metrics::table::num(r.round_trips.mean(), 0)});

@@ -6,12 +6,14 @@
 // survives composition because every key lives on exactly one shard —
 // verified at the end on the merged multi-shard history.
 //
-// Compare bench_shard_scaling for the throughput story; this demo shows the
-// fault-isolation story — replicas of two different shards crash at once
-// and every shard keeps serving from its remaining majority — and then the
-// elasticity story: the ring grows 4 -> 5 *while those replicas are still
-// down*, the moved keys migrate online through the dual-ring window, and
-// the store never stops answering.
+// Compare shard_router_test's
+// ShardRouter.CapacityRisesWithShardCountAndMergedHistoriesStayAtomic for
+// the throughput story; this demo shows the fault-isolation story —
+// replicas of two different shards crash at once and every shard keeps
+// serving from its remaining majority — and then the elasticity story: the
+// ring grows 4 -> 5 *while those replicas are still down*, the moved keys
+// migrate online through the dual-ring window, and the store never stops
+// answering.
 //
 // Two modes:
 //

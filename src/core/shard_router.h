@@ -70,7 +70,8 @@
 // group, and the handoff transfers a tag at least as large as any completed
 // operation's. The merged two-epoch history therefore still passes
 // history::check_atomicity_per_key unchanged — that is the acceptance oracle
-// (shard_router_test, chaos tests, bench_rebalance all assert it).
+// (shard_router_test's ShardRouterMigration cases, among them
+// OpenWorkloadAcrossWindowLosesNothing, and the chaos tests assert it).
 //
 // Typical use:
 //

@@ -51,7 +51,8 @@ struct kv_workload_config {
   time_ns mean_gap = 200 * 1000;    // mean inter-arrival per process
   std::uint64_t seed = 1;
 
-  /// Phase support for multi-stage drivers (e.g. bench_rebalance generating
+  /// Phase support for multi-stage drivers (e.g. shard_router_test's
+  /// ShardRouterMigration.OpenWorkloadAcrossWindowLosesNothing generating
   /// before/during/after-reconfiguration traffic as separate calls): every
   /// generated arrival time is offset by `start_at`, and write values start
   /// at `value_base` — pass a value past anything the previous phase could

@@ -6,22 +6,29 @@
 // hardware_concurrency, across fault-free, crash-heavy, migration-under-load,
 // and lease+corrupt-tail adversarial runs. Worker count must buy wall-clock
 // time only, never observable behavior (shard_router.h, "Parallel
-// execution").
+// execution"); where a spinner probe finds two usable cores, the pool must
+// buy some. CMakeLists.txt runs this suite alone (RUN_SERIAL) so that no
+// other suite takes cores while the pool is timed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/scenario_runner.h"
 #include "core/shard_router.h"
 #include "history/keyed.h"
 #include "history/tag_order.h"
+#include "open_loop.h"
 #include "proto/policy.h"
 #include "sim/driver.h"
+#include "sim/kv_workload.h"
 #include "sim/scenario.h"
 
 namespace remus::sim {
@@ -345,6 +352,89 @@ TEST(ParallelDeterminism, LeaseCorruptTailScenarioIdenticalAtEveryWorkerCount) {
     b.migration = out.migration_log;
     expect_identical(a, b, w);
   }
+}
+
+// ---------- What the pool buys in wall-clock time ----------
+
+using wall_clock = std::chrono::steady_clock;
+
+double seconds_since(wall_clock::time_point t0) {
+  return std::chrono::duration<double>(wall_clock::now() - t0).count();
+}
+
+/// Usable cores as perfbench's parallelism_probe reads them: `n` spinners
+/// at once against one alone, n * t1 / tn, with the lone spinner timed
+/// before and after and the faster of the two counted.
+double effective_cores(unsigned n) {
+  constexpr std::uint64_t kIters = 20'000'000;
+  std::atomic<std::uint64_t> sink{0};
+  const auto spin = [&sink] {
+    std::uint64_t x = 1;
+    for (std::uint64_t i = 0; i < kIters; ++i) {
+      x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+      std::atomic_signal_fence(std::memory_order_seq_cst);  // keep the loop
+    }
+    sink += x;
+  };
+  const auto alone = [&spin] {
+    const auto t0 = wall_clock::now();
+    spin();
+    return seconds_since(t0);
+  };
+  const double before = alone();
+  const auto t0 = wall_clock::now();
+  std::vector<std::thread> threads;
+  for (unsigned i = 0; i < n; ++i) threads.emplace_back(spin);
+  for (auto& t : threads) t.join();
+  const double tn = seconds_since(t0);
+  return n * std::min(before, alone()) / tn;
+}
+
+/// Wall-clock seconds that 8 shards of 3 replicas on the paper's testbed
+/// take to run 2,000 uniform open-loop keyed ops over 256 keys.
+double s8_uniform_seconds(std::uint32_t workers) {
+  shard_router_config cfg;
+  cfg.shards = 8;
+  cfg.base = bench::paper_testbed(proto::persistent_policy(), 3);
+  cfg.workers = workers;
+  shard_router r(cfg);
+  sim::kv_workload_config wc;
+  wc.key_count = 256;
+  wc.ops = 2000;
+  wc.mean_gap = 100_us;
+  sim::submit_workload(r, wc);
+  const auto t0 = wall_clock::now();
+  EXPECT_TRUE(r.run_until_idle(2'000'000'000));
+  return seconds_since(t0);
+}
+
+TEST(WorkerPoolSpeedup, EightShardsRunFasterOnAPoolWhereTwoCoresAreUsable) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "a sanitizer's own cost swamps the wall-clock ratio";
+#endif
+  // nproc says what the scheduler may offer, not what a shared host gives:
+  // the gate holds only where the probe reads two usable cores before and
+  // after the measured pair.
+  const unsigned nproc = std::max(1u, std::thread::hardware_concurrency());
+  const double before = effective_cores(nproc);
+  if (before < 2.0) {
+    GTEST_SKIP() << "the spinner probe read " << before << " effective cores of " << nproc;
+  }
+  const std::uint32_t workers = std::min(4u, static_cast<std::uint32_t>(before));
+  double one = std::numeric_limits<double>::max();
+  double pool = std::numeric_limits<double>::max();
+  for (int i = 0; i < 3; ++i) {  // best of 3, the two sides interleaved
+    one = std::min(one, s8_uniform_seconds(1));
+    pool = std::min(pool, s8_uniform_seconds(workers));
+  }
+  const double after = effective_cores(nproc);
+  if (after < 2.0) {
+    GTEST_SKIP() << "the spinner probe read " << before << " then " << after
+                 << " effective cores of " << nproc;
+  }
+  EXPECT_GT(one / pool, 1.0) << workers << " workers: " << pool * 1e3 << " ms, 1 worker: "
+                             << one * 1e3 << " ms; the probe read " << before << " then "
+                             << after << " effective cores";
 }
 
 }  // namespace

@@ -5,12 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "bench_util.h"
 #include "core/shard_router.h"
 #include "history/keyed.h"
 #include "history/tag_order.h"
+#include "open_loop.h"
 #include "proto/policy.h"
 #include "sim/kv_workload.h"
 
@@ -400,16 +405,7 @@ TEST(ShardRouter, AtomicPerKeyWithConcurrentCrashesInTwoShards) {
   wc.ops = 300;
   wc.read_fraction = 0.5;
   wc.seed = 7;
-  const auto workload = sim::make_kv_workload(wc);
-  std::vector<shard_router::op_handle> handles;
-  for (const auto& op : workload) {
-    if (op.is_read) {
-      handles.push_back(r.submit_read(op.p, op.entries[0].reg, op.at));
-    } else {
-      handles.push_back(
-          r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at));
-    }
-  }
+  const auto handles = sim::submit_workload(r, wc);
 
   // Concurrent faults in two shards at once (a majority stays up in each):
   // shard 0 loses process 1, shard 1 loses process 2, overlapping windows.
@@ -422,7 +418,7 @@ TEST(ShardRouter, AtomicPerKeyWithConcurrentCrashesInTwoShards) {
 
   std::uint64_t completed = 0;
   for (const auto h : handles) completed += r.result(h).completed ? 1 : 0;
-  EXPECT_GT(completed, workload.size() / 2);
+  EXPECT_GT(completed, handles.size() / 2);
 
   const auto verdict = history::check_persistent_atomicity_per_key(r.events());
   EXPECT_TRUE(verdict.ok) << verdict.explanation;
@@ -440,13 +436,7 @@ TEST(ShardRouter, DeterministicAcrossRuns) {
     wc.key_count = 16;
     wc.ops = 120;
     wc.seed = seed;
-    for (const auto& op : sim::make_kv_workload(wc)) {
-      if (op.is_read) {
-        r.submit_read(op.p, op.entries[0].reg, op.at);
-      } else {
-        r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at);
-      }
-    }
+    sim::submit_workload(r, wc);
     EXPECT_TRUE(r.run_until_idle());
     return r.events();
   };
@@ -460,6 +450,65 @@ TEST(ShardRouter, DeterministicAcrossRuns) {
     EXPECT_EQ(a[i].at, b[i].at);
     EXPECT_EQ(a[i].v, b[i].v);
   }
+}
+
+// ---------- Capacity ----------
+
+TEST(ShardRouter, CapacityRisesWithShardCountAndMergedHistoriesStayAtomic) {
+  // 600 open-loop keyed ops over 256 keys on the paper's testbed, arriving
+  // faster than one quorum group absorbs (100 us mean gap per client).
+  // Capacity is completed keyed ops per virtual second of makespan, a pure
+  // function of the config. Every merged history must stay atomic and
+  // tag-ordered per key, and uniform capacity must rise strictly from 1 to
+  // 2 to 4 shards (3,792 < 6,766 < 11,560 measured).
+  struct shape {
+    std::uint32_t shards;
+    double theta;
+    std::uint32_t batch;
+    bool shard_local_batches;
+  };
+  const shape shapes[] = {
+      {1, 0.0, 1, false},  {2, 0.0, 1, false},  {4, 0.0, 1, false},  {8, 0.0, 1, false},
+      {1, 0.99, 1, false}, {2, 0.99, 1, false}, {4, 0.99, 1, false}, {8, 0.99, 1, false},
+      {4, 0.0, 4, false},  // 4-key batches split across shards
+      {4, 0.0, 4, true},   // and kept shard-local
+  };
+  std::map<std::uint32_t, double> uniform;  // shards -> keyed ops per virtual s
+  for (const shape& s : shapes) {
+    SCOPED_TRACE("s" + std::to_string(s.shards) + " theta " + std::to_string(s.theta) +
+                 " b" + std::to_string(s.batch) + (s.shard_local_batches ? " local" : ""));
+    shard_router_config cfg;
+    cfg.shards = s.shards;
+    cfg.base = bench::paper_testbed(proto::persistent_policy(), 3);
+    shard_router r(cfg);
+    sim::kv_workload_config wc;
+    wc.key_count = 256;
+    wc.zipf_theta = s.theta;
+    wc.batch_size = s.batch;
+    wc.ops = 600;
+    wc.mean_gap = 100_us;
+    if (s.shard_local_batches) {
+      wc.shard_map = [&r](register_id reg) { return r.shard_of(reg); };
+      wc.shard_local_batches = true;
+    }
+    std::uint64_t keyed_ops = 0;
+    time_ns last_reply = 0;
+    for (const auto h : sim::run_workload(r, wc)) {
+      const auto& res = r.result(h);
+      keyed_ops += res.entries.size();
+      last_reply = std::max(last_reply, res.completed_at);
+    }
+    const auto verdict = history::check_persistent_atomicity_per_key(r.events());
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
+    const auto tags = history::check_tag_order_per_key(r.tagged_operations());
+    EXPECT_TRUE(tags.ok) << tags.explanation;
+    if (s.theta == 0.0 && s.batch == 1) {
+      uniform[s.shards] =
+          1e9 * static_cast<double>(keyed_ops) / static_cast<double>(last_reply);
+    }
+  }
+  EXPECT_LT(uniform[1], uniform[2]);
+  EXPECT_LT(uniform[2], uniform[4]);
 }
 
 // ---------- Shard-aware workload generation ----------
@@ -677,56 +726,87 @@ TEST(ShardRouterMigration, AsyncWindowReadCompletesOnlyAfterWriteback) {
 }
 
 TEST(ShardRouterMigration, OpenWorkloadAcrossWindowLosesNothing) {
-  shard_router r(router_cfg(2, /*n=*/3, /*seed=*/5));
-  sim::kv_workload_config wc;
-  wc.n = 3;
-  wc.key_count = 96;
-  wc.ops = 150;
-  wc.read_fraction = 0.5;
-  wc.seed = 5;
-
-  auto submit = [&r](const std::vector<sim::kv_op>& ops,
-                     std::vector<shard_router::op_handle>& hs) {
-    for (const auto& op : ops) {
-      if (op.is_read) {
-        hs.push_back(r.submit_read(op.p, op.entries[0].reg, op.at));
-      } else {
-        hs.push_back(r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at));
-      }
-    }
+  // Three phases of open-loop keyed ops: at 2 shards, riding the window
+  // that grows the ring to 3, and at 3 shards. The window must drain, no op
+  // may fail, and the merged two-epoch history must stay atomic and
+  // tag-ordered per key. Two loads: a light one whose first phase is still
+  // in flight when the window opens, and one on the paper's testbed that
+  // arrives faster than the shards absorb (100 us mean gap per client),
+  // each phase run to idle, where completed ops per virtual second after
+  // the grow must be at least the figure before it (10,063 against 6,766
+  // measured).
+  struct load {
+    const char* name;
+    cluster_config base;
+    std::uint32_t keys;
+    std::uint32_t ops;
+    time_ns mean_gap;
+    bool window_opens_mid_phase;
   };
+  const load loads[] = {
+      {"light, window opens mid-phase", router_cfg(2, 3, /*seed=*/5).base, 96, 150, 200_us,
+       true},
+      {"saturating, paper testbed", bench::paper_testbed(proto::persistent_policy(), 3), 256,
+       600, 100_us, false},
+  };
+  for (const load& l : loads) {
+    SCOPED_TRACE(l.name);
+    shard_router_config cfg;
+    cfg.shards = 2;
+    cfg.base = l.base;
+    shard_router r(cfg);
+    sim::kv_workload_config wc;
+    wc.key_count = l.keys;
+    wc.ops = l.ops;
+    wc.mean_gap = l.mean_gap;
+    wc.seed = cfg.base.seed;
 
-  std::vector<shard_router::op_handle> handles;
-  submit(sim::make_kv_workload(wc), handles);
-  r.run_for(5_ms);  // phase A partially executed, ops still in flight
+    // Completed ops per virtual second, from a phase's first invocation to
+    // its last reply.
+    const auto capacity = [&r](const std::vector<shard_router::op_handle>& handles) {
+      time_ns first_invoke = std::numeric_limits<time_ns>::max();
+      time_ns last_reply = 0;
+      for (const auto h : handles) {
+        first_invoke = std::min(first_invoke, r.result(h).invoked_at);
+        last_reply = std::max(last_reply, r.result(h).completed_at);
+      }
+      return 1e9 * static_cast<double>(handles.size()) /
+             static_cast<double>(last_reply - first_invoke);
+    };
+    // The k-th later phase starts now, with a fresh seed and write values
+    // past any earlier phase's (the checkers reject duplicates).
+    const auto later_phase = [&r, &wc, &cfg](std::uint64_t k) {
+      wc.start_at = r.now();
+      wc.value_base = k * 1'000'000;
+      wc.seed = cfg.base.seed + k;
+    };
 
-  r.begin_add_shard();
-  wc.start_at = r.now();
-  wc.value_base = 1'000'000;  // keep write values globally unique
-  wc.seed = 6;
-  submit(sim::make_kv_workload(wc), handles);  // phase B rides the window
+    const auto first = sim::submit_workload(r, wc);
+    if (l.window_opens_mid_phase) {
+      r.run_for(5_ms);  // the first phase partly executed, ops still in flight
+    } else {
+      EXPECT_TRUE(r.run_until_idle(200'000'000));
+    }
+    r.begin_add_shard();
+    later_phase(1);
+    sim::run_workload(r, wc);  // rides the window
+    ASSERT_TRUE(r.migration_drained());
+    r.finish_add_shard();
+    later_phase(2);
+    const auto last = sim::run_workload(r, wc);
 
-  ASSERT_TRUE(r.run_until_idle(200'000'000));
-  ASSERT_TRUE(r.migration_drained());
-  r.finish_add_shard();
-
-  wc.start_at = r.now();
-  wc.value_base = 2'000'000;
-  wc.seed = 7;
-  submit(sim::make_kv_workload(wc), handles);  // phase C at S+1
-  ASSERT_TRUE(r.run_until_idle(200'000'000));
-
-  // Zero failed operations: nothing dropped, everything completed.
-  for (const auto h : handles) {
-    const auto& res = r.result(h);
-    EXPECT_TRUE(res.completed);
-    EXPECT_FALSE(res.dropped);
+    for (const auto h : first) {
+      EXPECT_TRUE(r.result(h).completed && !r.result(h).dropped) << "first-phase op " << h;
+    }
+    const auto verdict = history::check_persistent_atomicity_per_key(r.events());
+    EXPECT_TRUE(verdict.ok) << verdict.explanation;
+    EXPECT_GT(verdict.keys_checked, 10u);
+    const auto tags = history::check_tag_order_per_key(r.tagged_operations());
+    EXPECT_TRUE(tags.ok) << tags.explanation;
+    if (!l.window_opens_mid_phase) {
+      EXPECT_GE(capacity(last), capacity(first));
+    }
   }
-  const auto verdict = history::check_persistent_atomicity_per_key(r.events());
-  EXPECT_TRUE(verdict.ok) << verdict.explanation;
-  EXPECT_GT(verdict.keys_checked, 10u);
-  const auto tags = history::check_tag_order_per_key(r.tagged_operations());
-  EXPECT_TRUE(tags.ok) << tags.explanation;
 }
 
 TEST(ShardRouterMigration, SameSeedYieldsIdenticalScheduleAndHistory) {
@@ -740,13 +820,7 @@ TEST(ShardRouterMigration, SameSeedYieldsIdenticalScheduleAndHistory) {
     wc.key_count = 48;
     wc.ops = 120;
     wc.seed = seed;
-    for (const auto& op : sim::make_kv_workload(wc)) {
-      if (op.is_read) {
-        r.submit_read(op.p, op.entries[0].reg, op.at);
-      } else {
-        r.submit_write(op.p, op.entries[0].reg, op.entries[0].val, op.at);
-      }
-    }
+    sim::submit_workload(r, wc);
     r.run_for(3_ms);
     r.begin_add_shard();
     EXPECT_TRUE(r.run_until_idle());
